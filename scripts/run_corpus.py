@@ -5,7 +5,7 @@ Pass --out-dir to also write per-axis trace and message CSV files.
 """
 
 import argparse
-import time
+from time import perf_counter
 
 from rclab.engine import run
 from rclab.scenario import corpus_names, corpus_path, load_scenario
@@ -22,16 +22,17 @@ def main():
     ]
     for name in names:
         scenario = load_scenario(corpus_path(name))
-        t0 = time.time()
+        t0 = perf_counter()
         result = run(scenario, args.out_dir)
+        elapsed = perf_counter() - t0
         for axis, report in enumerate(result.reports):
             tag = f"{name}[{axis}]" if scenario.axes > 1 else name
             print(
                 f"{tag:35s} {report.classification:17s} "
                 f"residual={report.residual:.2e} "
-                f"rounds={result.traces[axis].rounds} "
-                f"[{time.time() - t0:.1f}s]"
+                f"rounds={result.traces[axis].rounds}"
             )
+        print(f"{name:35s} wall time {elapsed:.2f}s")
 
 
 if __name__ == "__main__":

@@ -59,15 +59,6 @@ class ReferenceFunction:
 
 
 @dataclass(frozen=True)
-class FirstOrderState:
-    x: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.x):
-            raise AgentError(f"non-finite state {self.x}")
-
-
-@dataclass(frozen=True)
 class SecondOrderState:
     """Absolute position x, velocity v, and formation offset delta.
 
@@ -101,7 +92,6 @@ class ControlParams:
     beta: float
     f: int
     l: int
-    alpha: float | None = None
 
     def __post_init__(self):
         if self.T <= 0:
@@ -114,8 +104,6 @@ class ControlParams:
             )
         if self.f < 0 or self.l < 1:
             raise AgentError(f"need f >= 0 and l >= 1, got f={self.f} l={self.l}")
-        if self.alpha is not None and not (0 < self.alpha <= 1):
-            raise AgentError(f"alpha must be in (0, 1], got {self.alpha}")
 
 
 def leader_step(ref: ReferenceFunction, k: int) -> float:
@@ -124,26 +112,34 @@ def leader_step(ref: ReferenceFunction, k: int) -> float:
 
 
 def _trim_side(side: list[Message], f: int) -> list[Message]:
-    """Maximal prefix of the value-ordered side explainable by <= f nodes.
+    """Longest prefix of the value-ordered side explainable by <= f nodes.
 
     The side list must already be sorted most-extreme-first (stable). Returns
-    the removed messages. If even the whole side has cover cardinality < f it
-    is removed entirely.
+    the removed messages. If even the whole side has cover cardinality <= f
+    it is removed entirely. Coverability is monotone in the prefix length,
+    so the longest coverable prefix is found by binary search.
     """
     if f == 0 or not side:
         return []
-    if mmc_cardinality(side) <= f:
+    if mmc_cardinality(side, f) <= f:
         return side
-    removed: list[Message] = []
-    for m in side:
-        if mmc_cardinality(removed + [m]) <= f:
-            removed.append(m)
+    # side[:lo] has cover cardinality lo_card <= f; side[:hi] exceeds f. A
+    # single message is always explained by its source.
+    lo, lo_card, hi = 1, 1, len(side)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        card = mmc_cardinality(side[:mid], f)
+        if card <= f:
+            lo, lo_card = mid, card
         else:
-            break
+            hi = mid
     # A single extra message can raise the cover optimum by at most one, so
     # a maximal prefix short of the whole side must sit exactly at f.
-    assert mmc_cardinality(removed) == f if removed else True
-    return removed
+    if lo_card != f:
+        raise AgentError(
+            f"trim invariant violated: maximal prefix has cover {lo_card}, expected {f}"
+        )
+    return side[:lo]
 
 
 def mw_msr_trim(ms: MessageSet, own: float, f: int) -> MessageSet:
@@ -182,16 +178,3 @@ def second_order_step(s: SecondOrderState, u: float, T: float) -> SecondOrderSta
     v = s.v + T * u
     return SecondOrderState.from_x_hat(x_hat, v, s.delta)
 
-
-def secure_leader_follower_step(
-    ms: MessageSet, own: float, f: int, ref: ReferenceFunction, k: int, in_w_l: bool
-) -> float:
-    """Follower update when leaders are known secure.
-
-    Followers directly fed by a leader adopt the reference outright and act
-    as virtual leaders; everyone else trims and averages over the reduced
-    (leaderless) subgraph, whose messages the caller supplies.
-    """
-    if in_w_l:
-        return ref.value_at(k)
-    return mw_msr_update(mw_msr_trim(ms, own, f))

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 invalid input, 2 robustness violation,
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 from pathlib import Path as FsPath
 
@@ -26,15 +25,6 @@ from .scenario import (
     load_topology,
     resolve_file,
 )
-
-
-def worker_cap() -> int:
-    """Honored upper bound on helper threads (the solvers are CPU-bound and
-    currently run single-threaded; the cap is respected, never exceeded)."""
-    try:
-        return max(1, int(os.environ.get("RCLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @click.group()
@@ -89,9 +79,8 @@ def cli_check_robustness(topology, r_param, l_param, f_param, strict_relays):
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None)
 @click.option("--tol", type=float, default=None, help="Override convergence tolerance.")
 @click.option("--max-rounds", type=int, default=None, help="Override round cap.")
-@click.option("--format", "fmt", type=click.Choice(["csv"]), default="csv")
 @click.option("--summary", is_flag=True, help="Print the convergence report only.")
-def cli_simulate(scenario_ref, out_dir, tol, max_rounds, fmt, summary):
+def cli_simulate(scenario_ref, out_dir, tol, max_rounds, summary):
     """Run a scenario and report convergence."""
     try:
         scenario = load_scenario(resolve_file(scenario_ref))

@@ -9,7 +9,6 @@ average, and the error envelopes are recorded.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path as FsPath
@@ -120,37 +119,14 @@ def _paths_for(g: DiGraph, l: int):
     return {i: tuple(all_paths_into(g, i, l)) for i in g.nodes}
 
 
-def _max_messageset_bound(scenario: Scenario) -> int:
-    """Largest possible message-set cardinality (incl. self) in the schedule."""
-    best = 1
-    for k in range(scenario.schedule.period):
-        g = scenario.schedule.graph_at(k)
-        if scenario.algorithm == "mw-msr-secure":
-            g = g.induced(scenario.followers)
-        paths = _paths_for(g, scenario.l)
-        best = max(best, max(len(paths[i]) + 1 for i in g.nodes))
-    return best
-
-
 def round_budget(scenario: Scenario, v0: float) -> int:
-    """Derived budget: enough contraction periods to shrink v0 below the
-    tolerance at the worst-case geometric rate, capped at max_rounds."""
+    """The explicit budget if set; else one convergence window when the
+    initial error is already within tolerance; else max_rounds."""
     if scenario.budget is not None:
         return scenario.budget
     if v0 <= scenario.tol:
         return scenario.window + 1
-    w = len(scenario.normal_followers)
-    K = scenario.schedule.max_interval_length
-    alpha = 1.0 / _max_messageset_bound(scenario)
-    rate = 1.0 - alpha ** ((w + 1) * K)
-    if not (0.0 < rate < 1.0):
-        return scenario.max_rounds
-    try:
-        steps = math.ceil(math.log(v0 / scenario.tol) / math.log(1.0 / rate))
-        derived = 10 * (w + 1) * K * steps
-    except (OverflowError, ZeroDivisionError):
-        return scenario.max_rounds
-    return min(max(derived, scenario.window + 1), scenario.max_rounds)
+    return scenario.max_rounds
 
 
 class _MessageLog:
@@ -167,10 +143,6 @@ class _MessageLog:
                 self.writer.writerow(
                     [k, m.source, i, "-".join(map(str, m.path.nodes)), repr(m.value), int(tampered)]
                 )
-
-
-def _axis_reference(scenario: Scenario) -> ReferenceFunction:
-    return scenario.reference
 
 
 def _initial_axis_state(scenario: Scenario, axis: int):
@@ -209,7 +181,7 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
     adversaries = scenario.adversaries
     normal_followers = scenario.normal_followers
     normal_leaders = scenario.normal_leaders
-    ref = _axis_reference(scenario)
+    ref = scenario.reference
     secure = scenario.algorithm == "mw-msr-secure"
     virtual_leaders = scenario.secure_virtual_leaders() if secure else frozenset()
 
@@ -278,7 +250,7 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
                 means[i] = x[i]
                 next_x[i] = ref.value_at(k)
                 continue
-            ms = delivered[i].with_self(x[i], k, dest=i)
+            ms = delivered[i].with_self(x[i], dest=i)
             trace.max_msgset = max(trace.max_msgset, len(ms))
             retained = mw_msr_trim(ms, x[i], scenario.f)
             means[i] = mw_msr_update(retained)

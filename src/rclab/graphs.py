@@ -6,9 +6,7 @@ node j. All graph values are immutable after construction.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -284,7 +282,7 @@ def compact_schedule(
     return TopologySchedule(tuple(graphs), s.interval_lengths), mapping
 
 
-# Bitmask helpers shared by the robustness checker and message-cover solver.
+# Bitmask helpers for the message-cover solver.
 
 def nodes_bit(nodes: Iterable[int]) -> int:
     m = 0

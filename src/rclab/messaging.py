@@ -26,7 +26,6 @@ class Message:
 
     value: float
     path: Path
-    origin_time: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.value):
@@ -67,18 +66,14 @@ class MessageSet:
     def values(self) -> list[float]:
         return [m.value for m in self.messages]
 
-    def sorted_by_value(self, reverse: bool = False) -> list[Message]:
-        """Stable value sort; ties keep insertion order."""
-        return sorted(self.messages, key=lambda m: m.value, reverse=reverse)
-
-    def with_self(self, own_value: float, k: int = 0, dest: int | None = None) -> "MessageSet":
+    def with_self(self, own_value: float, dest: int | None = None) -> "MessageSet":
         """Append the explicit self-message (path = (i,))."""
         i = dest if dest is not None else (self.destination if self.messages else None)
         if i is None:
             raise MessageError("cannot infer destination for self-message")
         if self.messages and i != self.destination:
             raise MessageError(f"self-message destination {i} != {self.destination}")
-        return MessageSet(self.messages + (Message(own_value, Path((i,)), k),))
+        return MessageSet(self.messages + (Message(own_value, Path((i,))),))
 
 
 class AdversaryHook(Protocol):
@@ -119,7 +114,7 @@ def relay_round(
                 relay_hook = hooks.get(p.nodes[pos])
                 if relay_hook is not None:
                     value = relay_hook.relay(value, k, p.nodes[pos + 1])
-            msgs.append(Message(value, p, k))
+            msgs.append(Message(value, p))
         out[i] = MessageSet(tuple(msgs))
     return out
 
@@ -128,78 +123,77 @@ def _path_candidate_masks(messages: Sequence[Message]) -> list[int]:
     """Per-message candidate-node bitmasks: path nodes minus the destination."""
     masks = []
     for m in messages:
-        cand = set(m.path.nodes) - {m.destination}
-        if not cand:
+        mask = nodes_bit(m.path.nodes[:-1])
+        if not mask:
             raise MessageError(
                 f"message with self-path {m.path.nodes} has no cover candidates"
             )
-        masks.append(nodes_bit(cand))
+        masks.append(mask)
     return masks
 
 
-def _min_hitting_set(masks: list[int]) -> int:
-    """Exact minimum hitting set over bitmask element sets (branch and bound)."""
-    # Greedy upper bound: repeatedly hit the element covering the most sets.
-    best_mask = 0
-    remaining = list(masks)
-    while remaining:
-        counts: dict[int, int] = {}
-        for s in remaining:
-            for e in bit_nodes(s):
-                counts[e] = counts.get(e, 0) + 1
-        e = min(counts, key=lambda x: (-counts[x], x))
-        best_mask |= 1 << e
-        remaining = [s for s in remaining if not (s >> e) & 1]
-    best = [bin(best_mask).count("1"), best_mask]
+def _cover_within(masks: Sequence[int], k: int, chosen: int = 0, start: int = 0) -> int | None:
+    """A node mask of at most k nodes beyond ``chosen`` hitting every mask, or None.
 
-    def lower_bound(sets: list[int]) -> int:
-        # Count pairwise-disjoint sets greedily; each needs its own hitter.
-        used, count = 0, 0
-        for s in sorted(sets, key=lambda m: bin(m).count("1")):
-            if not s & used:
-                used |= s
-                count += 1
-        return count
+    Bounded search tree for d-hitting set (Downey & Fellows): branch on the
+    nodes of the first mask not yet hit, to depth k. Masks before ``start``
+    are already hit by ``chosen``. With masks of at most l nodes the tree
+    has at most l^k leaves, each reached by one O(m) scan.
+    """
+    for idx in range(start, len(masks)):
+        if not masks[idx] & chosen:
+            break
+    else:
+        return chosen
+    if k == 0:
+        return None
+    rest = masks[idx]
+    while rest:
+        low = rest & -rest
+        found = _cover_within(masks, k - 1, chosen | low, idx + 1)
+        if found is not None:
+            return found
+        rest ^= low
+    return None
 
-    def search(sets: list[int], chosen: int, size: int):
-        if not sets:
-            if size < best[0]:
-                best[0], best[1] = size, chosen
-            return
-        if size + lower_bound(sets) >= best[0]:
-            return
-        pivot = min(sets, key=lambda m: (bin(m).count("1"), m))
-        for e in bit_nodes(pivot):
-            rest = [s for s in sets if not (s >> e) & 1]
-            search(rest, chosen | (1 << e), size + 1)
 
-    search(masks, 0, 0)
-    return best[1]
+def _nonempty(ms: MessageSet | Sequence[Message], who: str) -> list[Message]:
+    messages = list(ms)
+    if not messages:
+        raise MessageError(f"{who} requires a nonempty message set")
+    return messages
 
 
 def minimum_message_cover(ms: MessageSet | Sequence[Message]) -> tuple[frozenset[int], int]:
     """A minimum node set hitting every message path (destination excluded).
 
-    Exact. Deterministic for a fixed message set.
+    Exact: iterative deepening over the bounded search tree, O(m * l^c) for
+    m messages of at most l hops and a minimum cover of size c.
+    Deterministic for a fixed message set.
     """
-    messages = list(ms)
-    if not messages:
-        raise MessageError("minimum_message_cover requires a nonempty message set")
-    mask = _min_hitting_set(_path_candidate_masks(messages))
-    cover = frozenset(bit_nodes(mask))
-    return cover, len(cover)
+    masks = _path_candidate_masks(_nonempty(ms, "minimum_message_cover"))
+    size = 1
+    while (mask := _cover_within(masks, size)) is None:
+        size += 1
+    return frozenset(bit_nodes(mask)), size
 
 
-def mmc_cardinality(messages: Sequence[Message]) -> int:
-    """Cardinality-only convenience used by the trimming rule."""
-    return minimum_message_cover(messages)[1]
+def mmc_cardinality(messages: Sequence[Message], cap: int) -> int:
+    """min(minimum cover cardinality, cap + 1), as the trimming rule asks.
+
+    Iterative deepening over the bounded search tree up to depth cap:
+    O(m * l^c) for m messages of at most l hops and c = min(cover, cap + 1).
+    """
+    masks = _path_candidate_masks(_nonempty(messages, "mmc_cardinality"))
+    for size in range(1, cap + 1):
+        if _cover_within(masks, size) is not None:
+            return size
+    return cap + 1
 
 
 def mmc_brute_force_oracle(ms: MessageSet | Sequence[Message]) -> int:
     """Exhaustive minimum-cover cardinality; refuses > 20 candidate nodes."""
-    messages = list(ms)
-    if not messages:
-        raise MessageError("mmc_brute_force_oracle requires a nonempty message set")
+    messages = _nonempty(ms, "mmc_brute_force_oracle")
     cand_sets = [set(m.path.nodes) - {m.destination} for m in messages]
     if any(not c for c in cand_sets):
         raise MessageError("message with self-path has no cover candidates")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path as FsPath
@@ -34,6 +35,48 @@ class ScenarioError(ValueError):
 
 ALGORITHMS = ("mw-msr", "mdp-msr", "mw-msr-secure")
 
+# What a malformed value raises while it is converted or walked.
+_PARSE_ERRORS = (KeyError, TypeError, AttributeError, ValueError, OverflowError)
+
+
+@contextmanager
+def _field(name: str):
+    """Re-raise a malformed value's error as a ScenarioError naming the field."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except _PARSE_ERRORS as e:
+        detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        raise ScenarioError(f"malformed {name!r}: {detail}") from e
+
+
+def _scalar(data: dict, key: str, conv, default=None):
+    """``conv(data[key])``, or ``default`` when the key is absent."""
+    if key not in data:
+        return default
+    with _field(key):
+        return conv(data[key])
+
+
+def _require(data, what: str, keys: tuple[str, ...]) -> None:
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{what} must be a mapping")
+    for key in keys:
+        if key not in data:
+            raise ScenarioError(f"{what} missing required field {key!r}")
+
+
+def _load_mapping(path: FsPath | str, what: str) -> dict:
+    with open(path) as fh:
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as e:
+            raise ScenarioError(f"{path}: malformed YAML: {e}") from e
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{path}: {what} file must be a mapping")
+    return data
+
 
 # ---------------------------------------------------------------------------
 # Topology files
@@ -41,10 +84,12 @@ ALGORITHMS = ("mw-msr", "mdp-msr", "mw-msr-secure")
 
 def _parse_graph(n: int, name: str, spec: dict) -> DiGraph:
     edges: list[tuple[int, int]] = []
-    for j, i in spec.get("edges", []):
-        edges.append((int(j), int(i)))
-    for a, b in spec.get("undirected_edges", []):
-        edges += [(int(a), int(b)), (int(b), int(a))]
+    with _field(f"graphs.{name}.edges"):
+        for j, i in spec.get("edges", []):
+            edges.append((int(j), int(i)))
+    with _field(f"graphs.{name}.undirected_edges"):
+        for a, b in spec.get("undirected_edges", []):
+            edges += [(int(a), int(b)), (int(b), int(a))]
     if not edges:
         raise ScenarioError(f"graph {name!r} has no edges")
     try:
@@ -54,20 +99,23 @@ def _parse_graph(n: int, name: str, spec: dict) -> DiGraph:
 
 
 def parse_topology(data: dict) -> tuple[TopologySchedule, frozenset[int]]:
-    for key in ("n", "leaders", "graphs", "schedule", "intervals"):
-        if key not in data:
-            raise ScenarioError(f"topology missing required field {key!r}")
-    n = int(data["n"])
-    leaders = frozenset(int(d) for d in data["leaders"])
-    graphs = {
-        name: _parse_graph(n, name, spec) for name, spec in data["graphs"].items()
-    }
+    _require(data, "topology", ("n", "leaders", "graphs", "schedule", "intervals"))
+    n = _scalar(data, "n", int)
+    with _field("leaders"):
+        leaders = frozenset(int(d) for d in data["leaders"])
+    with _field("graphs"):
+        graphs = {
+            name: _parse_graph(n, name, spec) for name, spec in data["graphs"].items()
+        }
+    with _field("schedule"):
+        try:
+            ordered = tuple(graphs[name] for name in data["schedule"])
+        except KeyError as e:
+            raise ScenarioError(f"schedule references unknown graph {e.args[0]!r}") from e
+    with _field("intervals"):
+        intervals = tuple(int(x) for x in data["intervals"])
     try:
-        ordered = tuple(graphs[name] for name in data["schedule"])
-    except KeyError as e:
-        raise ScenarioError(f"schedule references unknown graph {e.args[0]!r}") from e
-    try:
-        schedule = TopologySchedule(ordered, tuple(int(x) for x in data["intervals"]))
+        schedule = TopologySchedule(ordered, intervals)
     except GraphError as e:
         raise ScenarioError(str(e)) from e
     if any(d < 1 or d > n for d in leaders):
@@ -76,11 +124,7 @@ def parse_topology(data: dict) -> tuple[TopologySchedule, frozenset[int]]:
 
 
 def load_topology(path: FsPath | str) -> tuple[TopologySchedule, frozenset[int]]:
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: topology file must be a mapping")
-    return parse_topology(data)
+    return parse_topology(_load_mapping(path, "topology"))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +223,7 @@ class Scenario:
     tol: float = 1e-6
     window: int = 50
     max_rounds: int = 2000
-    budget: int | None = None  # explicit round budget; None = derived
+    budget: int | None = None  # explicit round budget; None = see round_budget
 
     @property
     def second_order(self) -> bool:
@@ -242,8 +286,10 @@ class Scenario:
             for i, per_axis in self.init.items():
                 if any(len(vals) != 1 for vals in per_axis):
                     errors.append(f"first-order init for node {i} must be a scalar")
-        report = validate_f_local(self.adversaries, self.schedule, self.l, self.f)
-        if not report.f_local:
+        report = None
+        if self.l >= 1:  # l < 1 is reported above and has no l-hop neighborhoods
+            report = validate_f_local(self.adversaries, self.schedule, self.l, self.f)
+        if report is not None and not report.f_local:
             i, k = report.witness
             errors.append(
                 f"adversary set is not {self.f}-local: node {i} has more than "
@@ -303,59 +349,51 @@ class Scenario:
 
 
 def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenario:
-    for key in ("topology", "algorithm", "f", "l", "reference"):
-        if key not in data:
-            raise ScenarioError(f"scenario missing required field {key!r}")
+    _require(data, "scenario", ("topology", "algorithm", "f", "l", "reference"))
     schedule, leaders = load_topology(resolve_file(str(data["topology"]), base))
     algorithm = str(data["algorithm"])
     if algorithm not in ALGORITHMS:
         raise ScenarioError(f"unknown algorithm {algorithm!r}")
-    f_param, l_param = int(data["f"]), int(data["l"])
-    axes = int(data.get("axes", 1))
+    f_param, l_param = _scalar(data, "f", int), _scalar(data, "l", int)
+    axes = _scalar(data, "axes", int, 1)
 
-    ref_raw = data["reference"]
-    if isinstance(ref_raw, (int, float)):
-        reference = ReferenceFunction.constant(float(ref_raw))
-    else:
-        try:
-            reference = ReferenceFunction(
-                tuple((int(s), float(v)) for s, v in ref_raw)
-            )
-        except (TypeError, AgentError) as e:
-            raise ScenarioError(f"bad reference: {e}") from e
+    with _field("reference"):
+        ref_raw = data["reference"]
+        if isinstance(ref_raw, (int, float)):
+            reference = ReferenceFunction.constant(float(ref_raw))
+        else:
+            reference = ReferenceFunction(tuple((int(s), float(v)) for s, v in ref_raw))
 
     params = None
     if algorithm == "mdp-msr":
         if "T" not in data or "beta" not in data:
             raise ScenarioError("mdp-msr requires 'T' and 'beta'")
+        T, beta = _scalar(data, "T", float), _scalar(data, "beta", float)
         try:
-            params = ControlParams(
-                T=float(data["T"]),
-                beta=float(data["beta"]),
-                f=f_param,
-                l=l_param,
-                alpha=float(data["alpha"]) if "alpha" in data else None,
-            )
+            params = ControlParams(T=T, beta=beta, f=f_param, l=l_param)
         except AgentError as e:
             raise ScenarioError(str(e)) from e
 
-    init = {
-        int(i): _parse_axis_values(raw, axes, f"init[{i}]")
-        for i, raw in (data.get("init") or {}).items()
-    }
+    with _field("init"):
+        init = {
+            int(i): _parse_axis_values(raw, axes, f"init[{i}]")
+            for i, raw in (data.get("init") or {}).items()
+        }
     delta = {}
-    for i, raw in (data.get("delta") or {}).items():
-        vals = raw if isinstance(raw, list) else [raw]
-        if len(vals) != axes:
-            raise ScenarioError(f"delta[{i}]: need one offset per axis")
-        delta[int(i)] = tuple(float(v) for v in vals)
+    with _field("delta"):
+        for i, raw in (data.get("delta") or {}).items():
+            vals = raw if isinstance(raw, list) else [raw]
+            if len(vals) != axes:
+                raise ScenarioError(f"delta[{i}]: need one offset per axis")
+            delta[int(i)] = tuple(float(v) for v in vals)
 
     scripts = {}
-    for spec in data.get("adversaries") or []:
-        script = _parse_script(spec)
-        if script.node in scripts:
-            raise ScenarioError(f"duplicate adversary entry for node {script.node}")
-        scripts[script.node] = script
+    with _field("adversaries"):
+        for spec in data.get("adversaries") or []:
+            script = _parse_script(spec)
+            if script.node in scripts:
+                raise ScenarioError(f"duplicate adversary entry for node {script.node}")
+            scripts[script.node] = script
 
     return Scenario(
         name=name,
@@ -370,17 +408,13 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
         init=init,
         delta=delta,
         scripts=scripts,
-        tol=float(data.get("tol", 1e-6)),
-        window=int(data.get("window", 50)),
-        max_rounds=int(data.get("max_rounds", 2000)),
-        budget=int(data["budget"]) if "budget" in data else None,
+        tol=_scalar(data, "tol", float, 1e-6),
+        window=_scalar(data, "window", int, 50),
+        max_rounds=_scalar(data, "max_rounds", int, 2000),
+        budget=_scalar(data, "budget", int),
     )
 
 
 def load_scenario(path: FsPath | str) -> Scenario:
     path = FsPath(path)
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: scenario file must be a mapping")
-    return parse_scenario(data, path.stem, path.parent)
+    return parse_scenario(_load_mapping(path, "scenario"), path.stem, path.parent)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rclab.agents import (
+    _trim_side,
     AgentError,
     ControlParams,
     ReferenceFunction,
@@ -14,10 +15,15 @@ from rclab.agents import (
     mw_msr_trim,
     mw_msr_update,
     second_order_step,
-    secure_leader_follower_step,
 )
 from rclab.graphs import Path
-from rclab.messaging import Message, MessageError, MessageSet, mmc_cardinality
+from rclab.messaging import (
+    Message,
+    MessageError,
+    MessageSet,
+    mmc_brute_force_oracle,
+    mmc_cardinality,
+)
 
 
 def one_hop_set(own, pairs, dest=99):
@@ -134,7 +140,26 @@ class TestTrim:
             lower = [m for m in removed if m.value < own]
             for side in (upper, lower):
                 if side:
-                    assert mmc_cardinality(side) <= f
+                    assert mmc_cardinality(side, f) <= f
+
+    def test_trim_side_matches_linear_scan(self):
+        def linear_scan(side, f):
+            # the prefix before the first one the oracle cannot cover with f
+            for end in range(1, len(side) + 1):
+                if mmc_brute_force_oracle(side[:end]) > f:
+                    return side[: end - 1]
+            return side
+
+        rng = random.Random(5)
+        for _ in range(300):
+            f = rng.randint(1, 2)
+            side = []
+            for _ in range(rng.randint(1, 9)):
+                relays = rng.sample(range(1, 8), rng.randint(0, 2))
+                path = (rng.randint(1, 7), *relays, 9)
+                if len(set(path)) == len(path):
+                    side.append(Message(rng.uniform(-3, 3), Path(path)))
+            assert _trim_side(side, f) == linear_scan(side, f)
 
 
 class TestUpdate:
@@ -225,13 +250,7 @@ class TestSecondOrder:
 
 
 class TestSecureStep:
-    ref = ReferenceFunction.constant(1.0)
-
-    def test_virtual_leader_adopts_reference(self):
-        s = one_hop_set(5.0, [(1, 9.0)])
-        assert secure_leader_follower_step(s, 5.0, 1, self.ref, 3, True) == 1.0
-
     def test_interior_follower_trims_and_averages(self):
         s = one_hop_set(2.0, [(1, 1.0), (2, 3.0), (3, 50.0)])
-        out = secure_leader_follower_step(s, 2.0, 1, self.ref, 0, False)
+        out = mw_msr_update(mw_msr_trim(s, 2.0, 1))
         assert out == 2.5  # one extreme trimmed per side: mean of {2, 3}

@@ -41,12 +41,6 @@ class TestMessageTypes:
         with pytest.raises(MessageError):
             ms((1.0, (1, 2)), (2.0, (1, 3)))
 
-    def test_stable_value_sort(self):
-        s = ms((2.0, (1, 4)), (1.0, (2, 4)), (2.0, (3, 4)))
-        ordered = s.sorted_by_value()
-        assert [m.value for m in ordered] == [1.0, 2.0, 2.0]
-        assert [m.source for m in ordered] == [2, 1, 3]
-
     def test_with_self(self):
         s = ms((1.0, (1, 2))).with_self(5.0)
         assert s.messages[-1].path.nodes == (2,)
@@ -131,7 +125,10 @@ class TestMinimumMessageCover:
             assert len(cover) == card
             for m in s:
                 assert cover & (set(m.path.nodes) - {dst})
-            assert card == mmc_brute_force_oracle(s)
+            oracle = mmc_brute_force_oracle(s)
+            assert card == oracle
+            for cap in range(oracle + 2):
+                assert mmc_cardinality(s, cap) == min(oracle, cap + 1)
 
     def test_oracle_refuses_large_universe(self):
         paths = [(i, i + 1, 25) for i in range(1, 24, 2)]
@@ -144,4 +141,4 @@ class TestMinimumMessageCover:
         _, card = minimum_message_cover(s)
         assert 1 <= card <= len(s)
         assert card <= min(len(set(m.path.nodes)) - 1 for m in s) * len(s)
-        assert mmc_cardinality(list(s)) == card
+        assert mmc_cardinality(list(s), card) == card

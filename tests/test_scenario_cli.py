@@ -1,10 +1,13 @@
 import dataclasses
+import re
 import textwrap
 
 import pytest
+import yaml
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
-from rclab.cli import main, worker_cap
+from rclab.cli import main
 from rclab.scenario import (
     Scenario,
     ScenarioError,
@@ -43,6 +46,17 @@ def mini_scenario_yaml(**over):
     }
     data.update(over)
     return "\n".join(f"{k}: {v}" for k, v in data.items())
+
+
+TOPOLOGY = yaml.safe_load(MINI_TOPOLOGY)
+SCENARIO = {
+    **yaml.safe_load(mini_scenario_yaml(f="1", init="{2: 3.0, 3: 5.0}")),
+    "delta": {2: 0.5},
+    "adversaries": [
+        {"node": 4, "emit": {"default": {"center": 2.0},
+                             "groups": [{"receivers": [2], "center": 1.0}]}},
+    ],
+}
 
 
 @pytest.fixture
@@ -313,15 +327,83 @@ class TestCli:
         assert res.exit_code == 1
         assert "missing initial values" in res.output
 
+    def test_validate_reports_hop_count(self, workspace):
+        p = workspace / "scn.yaml"
+        p.write_text(mini_scenario_yaml(l="0"))
+        res = self.invoke("validate", "--scenario", str(p))
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert "l >= 1" in res.output
+
+    def test_yaml_syntax_error_exits_1(self, workspace):
+        p = workspace / "scn.yaml"
+        p.write_text("topology: [topo.yaml\n")
+        res = self.invoke("validate", "--scenario", str(p))
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert "malformed YAML" in res.output
+
     def test_corpus_list(self):
         res = self.invoke("corpus", "list")
         assert res.exit_code == 0
         assert "net15" in res.output.split()
 
-    def test_worker_cap(self, monkeypatch):
-        monkeypatch.setenv("RCLAB_THREADS", "4")
-        assert worker_cap() == 4
-        monkeypatch.setenv("RCLAB_THREADS", "bogus")
-        assert worker_cap() == 1
-        monkeypatch.setenv("RCLAB_THREADS", "-2")
-        assert worker_cap() == 1
+
+MALFORMED = [
+    ("topology", {"n": "x"}, "'n'"),
+    ("topology", {"graphs": [{"edges": [[1, 2]]}]}, "'graphs'"),
+    ("topology", {"graphs": {"g": {"edges": 5}}}, "'graphs.g.edges'"),
+    ("scenario", {"init": [3.0, 5.0]}, "'init'"),
+    ("scenario", {"reference": "abc"}, "'reference'"),
+    ("scenario", {"adversaries": [{"emit": {"center": 2.0}}]}, "'adversaries'"),
+]
+
+yaml_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.integers(-3, 20) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated(draw, node):
+    """``node`` with one value somewhere inside it replaced or removed."""
+    if isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        out = dict(node) if isinstance(node, dict) else list(node)
+        key = draw(st.sampled_from(list(out) if isinstance(out, dict) else range(len(out))))
+        if isinstance(out, dict) and draw(st.integers(0, 4)) == 0:
+            del out[key]
+        else:
+            out[key] = draw(mutated(node[key]))
+        return out
+    return draw(yaml_values)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "kind, over, field", MALFORMED,
+        ids=["n-text", "graphs-list", "edges-int", "init-list", "reference-text", "no-node"],
+    )
+    def test_malformed_field_is_scenario_error(self, workspace, kind, over, field):
+        with pytest.raises(ScenarioError, match=re.escape(field)):
+            if kind == "topology":
+                parse_topology({**TOPOLOGY, **over})
+            else:
+                parse_scenario({**SCENARIO, **over}, "scn", workspace)
+
+    @given(st.booleans(), st.data())
+    def test_only_scenario_error_escapes(self, tmp_path_factory, mutate_topology, data):
+        topology, scenario = TOPOLOGY, SCENARIO
+        if mutate_topology:
+            topology = data.draw(mutated(TOPOLOGY))
+        else:
+            scenario = data.draw(mutated(SCENARIO))
+        root = tmp_path_factory.getbasetemp()
+        (root / "topo.yaml").write_text(yaml.safe_dump(topology))
+        (root / "scn.yaml").write_text(yaml.safe_dump(scenario))
+        try:
+            parse_topology(topology)
+            parse_scenario(scenario, "scn", root)
+        except ScenarioError:
+            res = CliRunner().invoke(main, ["validate", "--scenario", str(root / "scn.yaml")])
+            assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+            assert "Traceback" not in res.output
