@@ -7,6 +7,7 @@ node j. All graph values are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -43,14 +44,26 @@ class DiGraph:
         if not (1 <= i <= self.n):
             raise GraphError(f"invalid node id {i} (nodes are 1..{self.n})")
 
+    @cached_property
+    def _in_map(self) -> dict[int, frozenset[int]]:
+        """Node -> direct in-neighbors, built once per graph."""
+        inn: dict[int, set[int]] = {v: set() for v in self.nodes}
+        for (j, i) in self.edges:
+            inn[i].add(j)
+        return {v: frozenset(js) for v, js in inn.items()}
+
+    @cached_property
+    def _out_map(self) -> dict[int, frozenset[int]]:
+        return self.reversed()._in_map
+
     def in_neighbors(self, i: int) -> frozenset[int]:
         """Direct in-neighbors of i, excluding i itself."""
         self.check_node(i)
-        return frozenset(j for (j, t) in self.edges if t == i)
+        return self._in_map[i]
 
     def out_neighbors(self, i: int) -> frozenset[int]:
         self.check_node(i)
-        return frozenset(t for (j, t) in self.edges if j == i)
+        return self._out_map[i]
 
     def reversed(self) -> "DiGraph":
         return DiGraph(self.n, frozenset((i, j) for (j, i) in self.edges), self.name)
@@ -119,9 +132,7 @@ def paths_to(g: DiGraph, src: int, dst: int, l: int) -> list[Path]:
     g.check_node(dst)
     if src == dst:
         raise GraphError("paths_to requires src != dst")
-    out = {}
-    for j in g.nodes:
-        out[j] = sorted(g.out_neighbors(j))
+    out = g._out_map
     found: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int]):
@@ -145,7 +156,7 @@ def all_paths_into(g: DiGraph, dst: int, l: int) -> list[Path]:
     Sorted lexicographically by node sequence.
     """
     g.check_node(dst)
-    inn = {t: sorted(g.in_neighbors(t)) for t in g.nodes}
+    inn = g._in_map
     found: list[tuple[int, ...]] = []
 
     def back(suffix: list[int]):

@@ -6,22 +6,25 @@ every nonempty follower subset S of the surviving graph contains, within
 each bounded interval, at least one node with r independent paths of at
 most l hops originating outside S.
 
-Everything here is exhaustive and exact; instances are desk-scale
-(n <= 15, l <= 3).
+Everything here is exact. The removal sets F are enumerated (a pruned
+search over f-local sets); the follower subsets S are not: for each F and
+interval a peeling pass finds the largest violating S in time polynomial in
+the number of followers. Independent paths are counted by branch and bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 from .graphs import (
     DiGraph,
     GraphError,
     TopologySchedule,
     all_paths_into,
+    bit_nodes,
     in_neighbors_l,
+    nodes_bit,
     union_graph,
 )
 
@@ -55,7 +58,10 @@ class RobustnessQuery:
 @dataclass(frozen=True)
 class Certificate:
     """A witness of violation: under removal set F, no node of S is jointly
-    r-reachable anywhere in the given interval."""
+    r-reachable anywhere in the given interval.
+
+    F and the interval are the first failing ones in search order; S is the
+    largest trapped set for them (the union of every violating S)."""
 
     F: frozenset[int]
     S: frozenset[int]
@@ -75,7 +81,7 @@ class RobustnessVerdict:
 def _max_disjoint_paths(path_masks: list[int], target: int | None = None) -> int:
     """Maximum number of pairwise node-disjoint paths (masks exclude the
     shared endpoint). Branch and bound; early exit once ``target`` reached."""
-    masks = sorted(set(path_masks), key=lambda m: (bin(m).count("1"), m))
+    masks = sorted(set(path_masks), key=lambda m: (m.bit_count(), m))
     best = 0
 
     def search(idx: int, used: int, count: int) -> None:
@@ -97,40 +103,16 @@ def _max_disjoint_paths(path_masks: list[int], target: int | None = None) -> int
     return best
 
 
-def _candidate_path_masks(
-    paths, i: int, S: frozenset[int], forbidden: frozenset[int], relays_inside_s: bool
-) -> list[int]:
-    """Bitmasks (node i excluded) of paths ending at i whose source lies
-    outside S and which avoid every forbidden node."""
+def _path_masks(paths, relays_inside_s: bool) -> list[tuple[int, int]]:
+    """(blocking mask, body mask) of each path into a node. The body holds
+    every node but the endpoint; the path may serve S exactly when its
+    blocking nodes (the source, or the whole body under strict relays)
+    avoid S."""
     out = []
     for p in paths:
-        nodes = p.nodes
-        if nodes[0] in S or nodes[0] in forbidden:
-            continue
-        body = nodes[:-1]
-        if any(v in forbidden for v in body[1:]):
-            continue
-        if not relays_inside_s and any(v in S for v in body[1:]):
-            continue
-        m = 0
-        for v in body:
-            m |= 1 << v
-        out.append(m)
+        body = nodes_bit(p.nodes[:-1])
+        out.append((1 << p.nodes[0] if relays_inside_s else body, body))
     return out
-
-
-class _PathCache:
-    """Per-(graph, destination) cache of all simple paths of length <= l."""
-
-    def __init__(self, l: int):
-        self.l = l
-        self._cache: dict[tuple[int, int], list] = {}
-
-    def paths_into(self, g: DiGraph, key, i: int):
-        ck = (key, i)
-        if ck not in self._cache:
-            self._cache[ck] = all_paths_into(g, i, self.l)
-        return self._cache[ck]
 
 
 def independent_path_count(
@@ -151,8 +133,12 @@ def independent_path_count(
     S = frozenset(S)
     if i not in S:
         raise GraphError(f"node {i} must belong to S")
-    paths = all_paths_into(g, i, l)
-    masks = _candidate_path_masks(paths, i, S, frozenset(forbidden), relays_inside_s)
+    Smask, Fmask = nodes_bit(S), nodes_bit(forbidden)
+    masks = [
+        body
+        for block, body in _path_masks(all_paths_into(g, i, l), relays_inside_s)
+        if not (block & Smask or body & Fmask)
+    ]
     if not masks:
         return 0
     return _max_disjoint_paths(masks, target=target)
@@ -219,29 +205,48 @@ def f_local_sets(
 
     The predicate: |N_i^{l-}[k] ∩ F| <= f for every node i outside F and
     every scheduled step k.
+
+    The sets are grown one cardinality at a time, each by adding a node above
+    its largest member, which keeps every level in lexicographic order. A
+    node crowded by a partial F (more than f members in one of its
+    neighborhoods) stays crowded as F grows, so it must join F later: a
+    partial F is dropped once such a node lies below its largest member, or
+    once there are more such nodes than the cap leaves room for.
     """
     if cap is None:
         cap = default_f_cap(schedule, l, f)
-    nodes = list(range(1, schedule.n + 1))
+    n = schedule.n
     table = _neighborhood_table(schedule, l)
-    yield frozenset()
-    for size in range(1, cap + 1):
-        for combo in combinations(nodes, size):
-            F = frozenset(combo)
-            if _is_f_local(F, table, f, schedule.n):
-                yield F
+    # For each node v, the nodes whose neighborhoods contain v (the only ones
+    # adding v can crowd), each with those neighborhoods as bitmasks.
+    watch: dict[int, list[tuple[int, set[int]]]] = {v: [] for v in table}
+    for i, nbs in table.items():
+        masks = {nodes_bit(nb) for nb in nbs}
+        for v in table:
+            hit = {m for m in masks if m >> v & 1}
+            if hit:
+                watch[v].append((i, hit))
 
-
-def _is_f_local(
-    F: frozenset[int], table: dict[int, list[frozenset[int]]], f: int, n: int
-) -> bool:
-    for i in range(1, n + 1):
-        if i in F:
-            continue
-        for nb in table[i]:
-            if len(nb & F) > f:
-                return False
-    return True
+    level = [(0, 0, 0)]  # (F, nodes crowded by F, largest member) as bitmasks
+    for size in range(cap + 1):
+        grown = []
+        for F, C, last in level:
+            must = C & ~F
+            if not must:
+                yield frozenset(bit_nodes(F))
+            if size == cap or must.bit_count() > cap - size:
+                continue
+            # Nodes skipped between last and v never join F: stop at the
+            # lowest node that must.
+            hi = (must & -must).bit_length() - 1 if must else n
+            for v in range(last + 1, hi + 1):
+                G, D = F | 1 << v, C
+                for i, masks in watch[v]:
+                    if not D >> i & 1 and any((m & G).bit_count() > f for m in masks):
+                        D |= 1 << i
+                if not D & ~G & ((1 << v) - 1):
+                    grown.append((G, D, v))
+        level = grown
 
 
 def _interval_violation(
@@ -252,62 +257,86 @@ def _interval_violation(
     r: int,
     l: int,
     relays_inside_s: bool,
-    cache: _PathCache,
+    paths: dict[tuple[int, int], list[tuple[int, int]]],
 ) -> frozenset[int] | None:
-    """First follower subset S (by cardinality, then lexicographically) with
-    no jointly r-reachable node in the interval; None if all pass."""
-    sub = {}
-    inn = {}
-    for k in interval:
-        key = k % schedule.period
-        g = schedule.graphs[key]
-        gh = g.induced(set(g.nodes) - F) if F else g
-        sub[k] = (key, gh)
-        inn[k] = {i: gh.in_neighbors(i) for i in followers}
+    """Largest follower subset S with no jointly r-reachable node in the
+    interval; None if every nonempty S has one.
 
-    Fs = frozenset(F)
+    Whether a node of S is jointly r-reachable is monotone: it stays true
+    when S shrinks, which frees sources (and, with strict relays, relays).
+    So peel: starting from every follower, remove nodes that are reachable
+    against the set that remains. The first member of any S to be removed
+    was reachable against a superset of S, hence against S; so if the set
+    empties, every S passes. Otherwise no remaining node is reachable against
+    it: it is a violating S and contains every other, whatever the removal
+    order.
 
-    def node_ok(i: int, S: frozenset[int]) -> bool:
-        for k in interval:
-            # r distinct direct in-neighbors outside S are r independent paths
-            if len(inn[k][i] - S) >= r:
-                return True
+    ``paths`` caches ``_path_masks`` per (scheduled step, node) on the full
+    graphs, for every F of one query; paths through F are filtered out here.
+    """
+    Fmask = nodes_bit(F)
+    keys = [k % schedule.period for k in interval]
+    graphs = [schedule.graphs[key] for key in keys]
+    inn = [{i: nodes_bit(g.in_neighbors(i)) & ~Fmask for i in followers} for g in graphs]
+    usable: dict[tuple[int, int], list[tuple[int, int]]] = {}
+
+    def node_ok(i: int, S: int) -> bool:
+        # r distinct direct in-neighbors outside S are r independent paths
+        if any((nb[i] & ~S).bit_count() >= r for nb in inn):
+            return True
         if l == 1:
             return False
-        for k in interval:
-            key, gh = sub[k]
-            paths = cache.paths_into(gh, (key, Fs), i)
-            masks = _candidate_path_masks(paths, i, S, Fs, relays_inside_s)
+        for key, g in zip(keys, graphs):
+            if (key, i) not in usable:
+                if (key, i) not in paths:
+                    paths[key, i] = _path_masks(all_paths_into(g, i, l), relays_inside_s)
+                usable[key, i] = [(b, m) for b, m in paths[key, i] if not m & Fmask]
+            masks = [m for b, m in usable[key, i] if not b & S]
             if len(masks) >= r and _max_disjoint_paths(masks, target=r) >= r:
                 return True
         return False
 
-    for size in range(1, len(followers) + 1):
-        for combo in combinations(followers, size):
-            S = frozenset(combo)
-            if not any(node_ok(i, S) for i in combo):
-                return S
+    return _peel(followers, node_ok)
+
+
+def _peel(nodes: list[int], node_ok) -> frozenset[int] | None:
+    """Largest R within ``nodes`` in which no i has ``node_ok(i, R)`` (R as a
+    bitmask), for a test monotone in R; None if that R is empty. Sweeps in id
+    order, dropping passing nodes at once, until a sweep drops none."""
+    R = nodes_bit(nodes)
+    rest = list(nodes)
+    while rest:
+        keep = []
+        for i in rest:
+            if node_ok(i, R):
+                R &= ~(1 << i)
+            else:
+                keep.append(i)
+        if len(keep) == len(rest):
+            return frozenset(keep)
+        rest = keep
     return None
 
 
 def is_jointly_robust_following(q: RobustnessQuery) -> RobustnessVerdict:
-    """Exhaustive check of the jointly r-robust following property.
+    """Exact check of the jointly r-robust following property.
 
-    Iterates f-local removal sets F (smallest first), and for each F checks
-    every interval and every nonempty follower subset of the surviving
-    graph. The first violation found is returned as the certificate, so
-    certificates are deterministic.
+    Iterates f-local removal sets F (smallest first, then lexicographically),
+    and for each F peels every interval (see ``_interval_violation``), which
+    decides every nonempty follower subset of the surviving graph at once.
+    The certificate holds the first failing F and interval and the largest
+    trapped S for them, so certificates are deterministic.
     """
     schedule = q.schedule
-    cache = _PathCache(q.l)
     intervals = schedule.intervals()
+    paths: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for F in f_local_sets(schedule, q.l, q.f, cap=q.f_cap):
         followers = sorted(set(range(1, schedule.n + 1)) - q.leaders - F)
         if not followers:
             continue
         for t, interval in enumerate(intervals):
             S = _interval_violation(
-                schedule, interval, F, followers, q.r, q.l, q.relays_inside_s, cache
+                schedule, interval, F, followers, q.r, q.l, q.relays_inside_s, paths
             )
             if S is not None:
                 return RobustnessVerdict(False, Certificate(F, S, t))
@@ -328,16 +357,12 @@ def strongly_robust_wrt_leaders(g: DiGraph, leaders, r: int) -> bool:
     """Every nonempty S outside the leader set contains a node with at
     least r direct in-neighbors outside S. (The one-hop union-graph
     condition from the sliding-window literature; strictly stronger than
-    the robust-following property at matching thresholds.)"""
+    the robust-following property at matching thresholds.) Decided by
+    peeling, as in ``_interval_violation``."""
     leaders = frozenset(leaders)
     rest = sorted(set(g.nodes) - leaders)
-    inn = {i: g.in_neighbors(i) for i in rest}
-    for size in range(1, len(rest) + 1):
-        for combo in combinations(rest, size):
-            S = frozenset(combo)
-            if not any(len(inn[i] - S) >= r for i in combo):
-                return False
-    return True
+    inn = {i: nodes_bit(g.in_neighbors(i)) for i in rest}
+    return _peel(rest, lambda i, S: (inn[i] & ~S).bit_count() >= r) is None
 
 
 def direct_leader_followers(g: DiGraph, leaders) -> frozenset[int]:

@@ -1,13 +1,24 @@
 import itertools
+import random
+import time
 
 import pytest
+from conftest import random_digraph
 from hypothesis import given, strategies as st
 
-from rclab.graphs import DiGraph, GraphError, TopologySchedule, all_paths_into
+from rclab.graphs import (
+    DiGraph,
+    GraphError,
+    TopologySchedule,
+    all_paths_into,
+    in_neighbors_l,
+    nodes_bit,
+)
 from rclab.robustness import (
     Certificate,
     RobustnessQuery,
     RobustnessVerdict,
+    _max_disjoint_paths,
     default_f_cap,
     f_local_sets,
     independent_path_count,
@@ -36,6 +47,82 @@ def brute_independent_paths(g, S, i, l, forbidden=frozenset(), relays_inside_s=T
             if len(union) == sum(len(c) for c in combo):
                 best = max(best, size)
     return best
+
+
+def oracle_f_local_sets(schedule, l, f, cap=None):
+    """Every F of at most ``cap`` nodes, by cardinality then lexicographically,
+    kept when |N_i^{l-}[k] ∩ F| <= f for each node i outside F and step k."""
+    if cap is None:
+        cap = default_f_cap(schedule, l, f)
+    nodes = range(1, schedule.n + 1)
+    table = {i: [in_neighbors_l(g, i, l) for g in schedule.graphs] for i in nodes}
+    return [
+        F
+        for size in range(cap + 1)
+        for F in map(frozenset, itertools.combinations(nodes, size))
+        if all(len(nb & F) <= f for i in nodes if i not in F for nb in table[i])
+    ]
+
+
+def oracle_violations(q, F, interval):
+    """Every nonempty follower subset S (by cardinality, then
+    lexicographically) none of whose nodes has r independent paths from
+    outside S in some graph of the interval once F is removed."""
+    nodes = set(range(1, q.schedule.n + 1))
+    followers = sorted(nodes - q.leaders - F)
+    graphs = [q.schedule.graph_at(k).induced(nodes - F) for k in interval]
+    paths = {
+        (t, i): [p.nodes for p in all_paths_into(g, i, q.l)]
+        for t, g in enumerate(graphs)
+        for i in followers
+    }
+
+    def node_ok(i, S):
+        for t in range(len(graphs)):
+            masks = [
+                nodes_bit(p[:-1])
+                for p in paths[t, i]
+                if p[0] not in S and (q.relays_inside_s or not S & set(p[1:-1]))
+            ]
+            if _max_disjoint_paths(masks, target=q.r) >= q.r:
+                return True
+        return False
+
+    return [
+        S
+        for size in range(1, len(followers) + 1)
+        for S in map(frozenset, itertools.combinations(followers, size))
+        if not any(node_ok(i, S) for i in S)
+    ]
+
+
+def oracle_verdict(q):
+    """The first failing (F, interval index) in search order with every
+    violating S for it, or None when the property holds."""
+    for F in oracle_f_local_sets(q.schedule, q.l, q.f, q.f_cap):
+        for t, interval in enumerate(q.schedule.intervals()):
+            bad = oracle_violations(q, F, interval)
+            if bad:
+                return F, t, bad
+    return None
+
+
+def oracle_strongly_robust(g, leaders, r):
+    rest = sorted(set(g.nodes) - leaders)
+    return all(
+        any(len(g.in_neighbors(i) - S) >= r for i in S)
+        for size in range(1, len(rest) + 1)
+        for S in map(frozenset, itertools.combinations(rest, size))
+    )
+
+
+def random_schedule(rng, n):
+    """One to three random graphs on n nodes, in one or two intervals."""
+    period = rng.randint(1, 3)
+    p = rng.uniform(0.25, 0.75)
+    graphs = tuple(random_digraph(rng, n, p) for _ in range(period))
+    cut = rng.randint(1, period)
+    return TopologySchedule(graphs, (cut, period - cut) if cut < period else (period,))
 
 
 class TestIndependentPaths:
@@ -104,6 +191,15 @@ class TestFLocalSets:
         assert frozenset({1, 2}) not in sets
         assert frozenset({1, 3}) in sets  # 3 in F, predicate only binds outside
 
+    def test_matches_combinations_filter(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            n = rng.randint(2, 9)
+            s = random_schedule(rng, n)
+            l, f = rng.randint(1, 3), rng.randint(0, 2)
+            for cap in (None, rng.randint(0, n)):
+                assert list(f_local_sets(s, l, f, cap)) == oracle_f_local_sets(s, l, f, cap)
+
 
 class TestJointlyRobustFollowing:
     def test_leaderless_chain_fails(self):
@@ -140,6 +236,32 @@ class TestJointlyRobustFollowing:
         with pytest.raises(GraphError):
             RobustnessVerdict(False)
 
+    @pytest.mark.parametrize("relays_inside_s", [True, False])
+    def test_matches_exhaustive_oracle(self, relays_inside_s):
+        """Verdict, F and interval as the subset walk finds them; S is the
+        union of every violating subset for that F and interval."""
+        rng = random.Random(7 + relays_inside_s)
+        outcomes = set()
+        for _ in range(200):
+            n = rng.randint(4, 8)
+            leaders = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n - 2)))
+            q = RobustnessQuery(
+                random_schedule(rng, n), leaders, r=rng.randint(1, 3),
+                l=rng.randint(1, 3), f=rng.randint(0, 1), relays_inside_s=relays_inside_s,
+            )
+            v = is_jointly_robust_following(q)
+            want = oracle_verdict(q)
+            assert v.holds == (want is None)
+            if want is None:
+                outcomes.add("holds")
+                continue
+            F, t, bad = want
+            cert = v.certificate
+            assert (cert.F, cert.interval_index) == (F, t)
+            assert cert.S == frozenset().union(*bad)
+            outcomes.add(("F" if F else "no F", "later interval" if t else "first interval"))
+        assert len(outcomes) == 5
+
     def test_multi_hop_strictly_weaker(self, net9):
         schedule, leaders = net9
         assert not is_jointly_robust_following(
@@ -161,6 +283,19 @@ class TestStronglyRobust:
     def test_sparse_fails(self):
         g = DiGraph.from_edges(4, [(1, 3), (2, 4), (3, 4)])
         assert not strongly_robust_wrt_leaders(g, {1, 2}, 2)
+
+    def test_matches_exhaustive_oracle(self):
+        rng = random.Random(5)
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            g = random_digraph(rng, n, rng.uniform(0.2, 0.9))
+            leaders = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n - 1)))
+            r = rng.randint(1, 3)
+            want = oracle_strongly_robust(g, leaders, r)
+            assert strongly_robust_wrt_leaders(g, leaders, r) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
     @given(st.integers(3, 7), st.randoms())
     def test_implies_robust_following_one_hop(self, n, rng):
@@ -218,3 +353,77 @@ class TestNecessaryConditions:
         schedule, leaders = net15
         conds = self.as_dict(RobustnessQuery(schedule, leaders, 3, 3, 2))
         assert all(conds.values())
+
+
+def layered_circulant(rng, m, n_leaders, r, f, d):
+    """A schedule that holds by construction (the layered circulant of the
+    benchmark's inputs): graph A is a circulant over a random order of the
+    m followers with offsets 1..d both ways, graph B feeds follower j of the
+    order from r + f - min(j, d) leaders, and the third graph is A | B. There
+    follower j has r + f in-neighbours among the leaders and the followers
+    before it, so after any f-local removal the first follower of any S keeps
+    r of them: the property holds for every l.
+
+    Returns (n, leaders, order, [A, B, A | B])."""
+    n = m + n_leaders
+    labels = rng.sample(range(1, n + 1), n)
+    leaders, order = labels[:n_leaders], labels[n_leaders:]
+    ring = set()
+    for j, v in enumerate(order):
+        for o in range(1, d + 1):
+            w = order[(j + o) % m]
+            ring |= {(v, w), (w, v)}
+    feed = {
+        (u, v)
+        for j, v in enumerate(order)
+        for u in rng.sample(leaders, max(r + f - min(j, d), 0))
+    }
+    return n, leaders, order, [ring, feed, ring | feed]
+
+
+def plant_trap(graphs, n, trap, boundary):
+    """Cut every edge into ``trap`` from outside it except those from the
+    r - 1 ``boundary`` nodes, which feed the whole trap in the last graph:
+    every path into the trap then passes through the boundary."""
+    graphs = [set(g) for g in graphs]
+    graphs[-1] |= {(b, i) for b in boundary for i in trap}
+    keep = set(trap) | set(boundary)
+    return [{(j, i) for (j, i) in g if i not in trap or j in keep} for g in graphs]
+
+
+class TestScale:
+    """35 nodes: far beyond a walk over 2^30 follower subsets."""
+
+    M, LEADERS, R, L, F, D = 30, 5, 2, 2, 1, 3
+
+    def query(self, n, leaders, graphs):
+        schedule = TopologySchedule(
+            tuple(DiGraph.from_edges(n, g) for g in graphs), (len(graphs),)
+        )
+        return RobustnessQuery(schedule, frozenset(leaders), self.R, self.L, self.F)
+
+    def test_layered_circulant_holds_and_planted_trap_fails(self):
+        rng = random.Random(11)
+        n, leaders, order, graphs = layered_circulant(
+            rng, self.M, self.LEADERS, self.R, self.F, self.D
+        )
+        start = time.perf_counter()
+        assert is_jointly_robust_following(self.query(n, leaders, graphs)).holds
+
+        # Eight consecutive followers of the order, past the first r + f
+        # (which alone carry leader edges), fed from r - 1 boundary nodes.
+        trap = order[10:18]
+        boundary = order[:self.R - 1]
+        q = self.query(n, leaders, plant_trap(graphs, n, trap, boundary))
+        v = is_jointly_robust_following(q)
+        elapsed = time.perf_counter() - start
+        assert not v.holds
+        cert = v.certificate
+        assert cert.F == frozenset() and cert.S >= set(trap)
+        interval = q.schedule.intervals()[cert.interval_index]
+        for i in cert.S:
+            reachable, _ = jointly_reachable(
+                q.schedule, interval, cert.S, i, q.r, q.l, forbidden=cert.F
+            )
+            assert not reachable
+        assert elapsed < 5.0
