@@ -11,7 +11,7 @@ from .robustness import (
     is_jointly_robust_following,
     necessary_conditions,
 )
-from .messaging import Message, MessageSet, minimum_message_cover, relay_round
+from .messaging import Message, minimum_message_cover, relay_round
 from .agents import ControlParams, ReferenceFunction, SecondOrderState
 from .adversary import AttackScript, Waveform, necessity_attack, validate_f_local
 from .scenario import Scenario, load_scenario, load_topology
@@ -28,7 +28,6 @@ __all__ = [
     "is_jointly_robust_following",
     "necessary_conditions",
     "Message",
-    "MessageSet",
     "minimum_message_cover",
     "relay_round",
     "ControlParams",

@@ -92,14 +92,6 @@ class AttackScript:
         return self.emit(k, receiver)
 
 
-def byzantine_emit(script: AttackScript, k: int, receiver: int) -> float:
-    return script.emit(k, receiver)
-
-
-def byzantine_relay(script: AttackScript, value: float, k: int, receiver: int) -> float:
-    return script.relay(value, k, receiver)
-
-
 @dataclass(frozen=True)
 class LocalityReport:
     f_local: bool

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .messaging import Message, MessageError, MessageSet, mmc_cardinality
+from .messaging import Message, MessageError, mmc_cardinality
 
 
 class AgentError(ValueError):
@@ -90,8 +90,6 @@ class ControlParams:
 
     T: float
     beta: float
-    f: int
-    l: int
 
     def __post_init__(self):
         if self.T <= 0:
@@ -102,13 +100,6 @@ class ControlParams:
             raise AgentError(
                 f"beta*T = {bt:.6g} outside stability window [{lo:.6g}, {hi:.6g}]"
             )
-        if self.f < 0 or self.l < 1:
-            raise AgentError(f"need f >= 0 and l >= 1, got f={self.f} l={self.l}")
-
-
-def leader_step(ref: ReferenceFunction, k: int) -> float:
-    """Leader value for round k+1; second-order leaders hold v = u = 0."""
-    return ref.value_at(k)
 
 
 def _trim_side(side: list[Message], f: int) -> list[Message]:
@@ -142,10 +133,11 @@ def _trim_side(side: list[Message], f: int) -> list[Message]:
     return side[:lo]
 
 
-def mw_msr_trim(ms: MessageSet, own: float, f: int) -> MessageSet:
+def mw_msr_trim(ms: tuple[Message, ...], own: float, f: int) -> tuple[Message, ...]:
     """Remove extreme values: the largest (resp. smallest) received values
     strictly above (below) own, as long as one set of <= f nodes could have
-    produced them. The self-message is always retained."""
+    produced them. The self-message is always retained, and the retained
+    messages are the given objects, in the given order."""
     if f < 0:
         raise AgentError(f"trim parameter must be >= 0, got {f}")
     if not any(m.path.hops == 0 for m in ms):
@@ -156,20 +148,20 @@ def mw_msr_trim(ms: MessageSet, own: float, f: int) -> MessageSet:
     lower.sort(key=lambda m: m.value)
     removed = set(id(m) for m in _trim_side(upper, f))
     removed |= set(id(m) for m in _trim_side(lower, f))
-    return MessageSet(tuple(m for m in ms if id(m) not in removed))
+    return tuple(m for m in ms if id(m) not in removed)
 
 
-def mw_msr_update(retained: MessageSet) -> float:
+def mw_msr_update(retained: tuple[Message, ...]) -> float:
     """Uniformly weighted average of the retained values."""
-    values = retained.values()
-    if not values:
+    if not retained:
         raise AgentError("retained message set is empty")
-    return math.fsum(values) / len(values)
+    return math.fsum(m.value for m in retained) / len(retained)
 
 
-def mdp_msr_control(retained: MessageSet, own: SecondOrderState, p: ControlParams) -> float:
-    """Acceleration: trimmed-mean position error with velocity damping."""
-    return mw_msr_update(retained) - own.x_hat - p.beta * own.v
+def mdp_msr_control(mean: float, own: SecondOrderState, p: ControlParams) -> float:
+    """Acceleration: position error to the retained mean (``mw_msr_update``)
+    with velocity damping."""
+    return mean - own.x_hat - p.beta * own.v
 
 
 def second_order_step(s: SecondOrderState, u: float, T: float) -> SecondOrderState:

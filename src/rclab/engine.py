@@ -22,8 +22,8 @@ from .agents import (
     second_order_step,
     SecondOrderState,
 )
-from .graphs import DiGraph, all_paths_into
-from .messaging import MessageSet, relay_round
+from .graphs import DiGraph, Path, all_paths_into
+from .messaging import Message, relay_round
 from .scenario import Scenario
 
 
@@ -184,6 +184,8 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
     ref = scenario.reference
     secure = scenario.algorithm == "mw-msr-secure"
     virtual_leaders = scenario.secure_virtual_leaders() if secure else frozenset()
+    # Secure mode exchanges values among the followers only.
+    exchange = schedule.induced(scenario.followers) if secure else schedule
 
     x, v = _initial_axis_state(scenario, axis)
     trace = Trace(
@@ -235,9 +237,7 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
             break
 
         # Exchange over the round's graph.
-        g = schedule.graph_at(k)
-        if secure:
-            g = g.induced(scenario.followers)
+        g = exchange.graph_at(k)
         paths = _paths_for(g, scenario.l)
         delivered = relay_round(g, x, scenario.l, k, scripts, paths)
         if message_log is not None:
@@ -250,13 +250,13 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
                 means[i] = x[i]
                 next_x[i] = ref.value_at(k)
                 continue
-            ms = delivered[i].with_self(x[i], dest=i)
+            ms = delivered[i] + (Message(x[i], Path((i,))),)
             trace.max_msgset = max(trace.max_msgset, len(ms))
             retained = mw_msr_trim(ms, x[i], scenario.f)
             means[i] = mw_msr_update(retained)
             if second:
                 state = SecondOrderState.from_x_hat(x[i], v[i])
-                u = mdp_msr_control(retained, state, scenario.params)
+                u = mdp_msr_control(means[i], state, scenario.params)
                 nxt = second_order_step(state, u, scenario.params.T)
                 next_x[i], next_v[i] = nxt.x_hat, nxt.v
             else:
@@ -300,12 +300,6 @@ def run(scenario: Scenario, out_dir: FsPath | str | None = None) -> SimulationRe
         convergence_report(t, scenario.tol, scenario.window) for t in traces
     )
     return SimulationResult(scenario, tuple(traces), reports)
-
-
-def consensus_error(trace: Trace, k: int) -> tuple[float, float, float]:
-    """(max, min, V) over normal nodes at round k."""
-    lo, hi = _envelope(trace.x[k], trace.normal_nodes)
-    return hi, lo, hi - lo
 
 
 def convergence_report(trace: Trace, tol: float, window: int) -> ConvergenceReport:

@@ -52,21 +52,10 @@ class DiGraph:
             inn[i].add(j)
         return {v: frozenset(js) for v, js in inn.items()}
 
-    @cached_property
-    def _out_map(self) -> dict[int, frozenset[int]]:
-        return self.reversed()._in_map
-
     def in_neighbors(self, i: int) -> frozenset[int]:
         """Direct in-neighbors of i, excluding i itself."""
         self.check_node(i)
         return self._in_map[i]
-
-    def out_neighbors(self, i: int) -> frozenset[int]:
-        self.check_node(i)
-        return self._out_map[i]
-
-    def reversed(self) -> "DiGraph":
-        return DiGraph(self.n, frozenset((i, j) for (j, i) in self.edges), self.name)
 
     def induced(self, keep: Iterable[int]) -> "DiGraph":
         """Subgraph induced by a node set (node ids unchanged)."""
@@ -93,11 +82,6 @@ def in_neighbors_l(g: DiGraph, i: int, l: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def out_neighbors_l(g: DiGraph, i: int, l: int) -> frozenset[int]:
-    """Nodes reachable from i via paths of at most l hops; includes i."""
-    return in_neighbors_l(g.reversed(), i, l)
-
-
 @dataclass(frozen=True)
 class Path:
     """A simple directed path (i_1, ..., i_{m}); all nodes distinct."""
@@ -122,32 +106,11 @@ class Path:
     def hops(self) -> int:
         return len(self.nodes) - 1
 
-
-def paths_to(g: DiGraph, src: int, dst: int, l: int) -> list[Path]:
-    """All simple directed paths of length <= l from src to dst.
-
-    Deterministic: sorted lexicographically by node sequence.
-    """
-    g.check_node(src)
-    g.check_node(dst)
-    if src == dst:
-        raise GraphError("paths_to requires src != dst")
-    out = g._out_map
-    found: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int]):
-        last = prefix[-1]
-        if last == dst:
-            found.append(tuple(prefix))
-            return
-        if len(prefix) - 1 >= l:
-            return
-        for nxt in out[last]:
-            if nxt not in prefix:
-                extend(prefix + [nxt])
-
-    extend([src])
-    return [Path(p) for p in sorted(found)]
+    @cached_property
+    def mask(self) -> int:
+        """Bitmask of every node but the destination: the nodes that could
+        have changed a value relayed along the path."""
+        return nodes_bit(self.nodes[:-1])
 
 
 def all_paths_into(g: DiGraph, dst: int, l: int) -> list[Path]:
@@ -171,18 +134,6 @@ def all_paths_into(g: DiGraph, dst: int, l: int) -> list[Path]:
 
     back([dst])
     return [Path(p) for p in sorted(found)]
-
-
-def graph_power(g: DiGraph, l: int) -> DiGraph:
-    """Edge (j, i) present iff a path of length <= l exists from j to i."""
-    if l < 1:
-        raise GraphError(f"hop count must be >= 1, got {l}")
-    edges = set()
-    for i in g.nodes:
-        for j in in_neighbors_l(g, i, l):
-            if j != i:
-                edges.add((j, i))
-    return DiGraph(g.n, frozenset(edges), g.name)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Multi-hop message relaying with path provenance, and exact minimum
 message covers.
 
-A message is a (value, path) pair. Within a round every node receives one
-message per simple path of length <= l ending at it; adversarial relays may
-rewrite the value but the path is authentic and immutable.
+A message is a (value, path) pair, and a message set is a plain tuple of
+messages. Within a round every node receives one message per simple path of
+length <= l ending at it; adversarial relays may rewrite the value but the
+path is authentic and immutable.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
-from .graphs import DiGraph, Path, all_paths_into, bit_nodes, nodes_bit
+from .graphs import DiGraph, Path, all_paths_into, bit_nodes
 
 
 class MessageError(ValueError):
@@ -40,42 +41,6 @@ class Message:
         return self.path.destination
 
 
-@dataclass(frozen=True)
-class MessageSet:
-    """Messages sharing a destination, in the (stable) order received."""
-
-    messages: tuple[Message, ...]
-
-    def __post_init__(self):
-        dests = {m.destination for m in self.messages}
-        if len(dests) > 1:
-            raise MessageError(f"mixed destinations in message set: {sorted(dests)}")
-
-    def __len__(self) -> int:
-        return len(self.messages)
-
-    def __iter__(self):
-        return iter(self.messages)
-
-    @property
-    def destination(self) -> int:
-        if not self.messages:
-            raise MessageError("empty message set has no destination")
-        return self.messages[0].destination
-
-    def values(self) -> list[float]:
-        return [m.value for m in self.messages]
-
-    def with_self(self, own_value: float, dest: int | None = None) -> "MessageSet":
-        """Append the explicit self-message (path = (i,))."""
-        i = dest if dest is not None else (self.destination if self.messages else None)
-        if i is None:
-            raise MessageError("cannot infer destination for self-message")
-        if self.messages and i != self.destination:
-            raise MessageError(f"self-message destination {i} != {self.destination}")
-        return MessageSet(self.messages + (Message(own_value, Path((i,))),))
-
-
 class AdversaryHook(Protocol):
     """Per-node behavior plugged into relay_round for adversarial nodes."""
 
@@ -91,19 +56,19 @@ def relay_round(
     k: int = 0,
     hooks: Mapping[int, AdversaryHook] | None = None,
     paths: Mapping[int, Sequence[Path]] | None = None,
-) -> dict[int, MessageSet]:
+) -> dict[int, tuple[Message, ...]]:
     """Deliver one message per (source, simple path of length <= l) pair.
 
     Values are rewritten by adversarial nodes along the path: the source's
     emission and each adversarial relay's corruption are per-(round, next
     receiver). Paths are never altered. Self-messages are not included;
-    callers append them via MessageSet.with_self.
+    callers append them as ``Message(own, Path((i,)))``.
 
     ``paths`` may supply the per-destination path enumeration (it only
     depends on g and l), letting callers amortize it across rounds.
     """
     hooks = hooks or {}
-    out: dict[int, MessageSet] = {}
+    out: dict[int, tuple[Message, ...]] = {}
     for i in g.nodes:
         msgs = []
         for p in (paths[i] if paths is not None else all_paths_into(g, i, l)):
@@ -115,20 +80,16 @@ def relay_round(
                 if relay_hook is not None:
                     value = relay_hook.relay(value, k, p.nodes[pos + 1])
             msgs.append(Message(value, p))
-        out[i] = MessageSet(tuple(msgs))
+        out[i] = tuple(msgs)
     return out
 
 
 def _path_candidate_masks(messages: Sequence[Message]) -> list[int]:
     """Per-message candidate-node bitmasks: path nodes minus the destination."""
-    masks = []
-    for m in messages:
-        mask = nodes_bit(m.path.nodes[:-1])
-        if not mask:
-            raise MessageError(
-                f"message with self-path {m.path.nodes} has no cover candidates"
-            )
-        masks.append(mask)
+    masks = [m.path.mask for m in messages]
+    if 0 in masks:
+        bad = messages[masks.index(0)].path.nodes
+        raise MessageError(f"message with self-path {bad} has no cover candidates")
     return masks
 
 
@@ -157,14 +118,13 @@ def _cover_within(masks: Sequence[int], k: int, chosen: int = 0, start: int = 0)
     return None
 
 
-def _nonempty(ms: MessageSet | Sequence[Message], who: str) -> list[Message]:
-    messages = list(ms)
+def _nonempty(messages: Sequence[Message], who: str) -> Sequence[Message]:
     if not messages:
         raise MessageError(f"{who} requires a nonempty message set")
     return messages
 
 
-def minimum_message_cover(ms: MessageSet | Sequence[Message]) -> tuple[frozenset[int], int]:
+def minimum_message_cover(ms: Sequence[Message]) -> tuple[frozenset[int], int]:
     """A minimum node set hitting every message path (destination excluded).
 
     Exact: iterative deepening over the bounded search tree, O(m * l^c) for
@@ -191,7 +151,7 @@ def mmc_cardinality(messages: Sequence[Message], cap: int) -> int:
     return cap + 1
 
 
-def mmc_brute_force_oracle(ms: MessageSet | Sequence[Message]) -> int:
+def mmc_brute_force_oracle(ms: Sequence[Message]) -> int:
     """Exhaustive minimum-cover cardinality; refuses > 20 candidate nodes."""
     messages = _nonempty(ms, "mmc_brute_force_oracle")
     cand_sets = [set(m.path.nodes) - {m.destination} for m in messages]

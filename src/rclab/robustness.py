@@ -14,7 +14,6 @@ the number of followers. Independent paths are counted by branch and bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .graphs import (
@@ -40,8 +39,6 @@ class RobustnessQuery:
     # The default follows the footnote reading (only the endpoint is shared);
     # the strict reading forces relays outside S as well.
     relays_inside_s: bool = True
-    # Hard cap on |F| during f-local enumeration; None = spec default.
-    f_cap: int | None = None
 
     def __post_init__(self):
         if self.r < 1:
@@ -187,21 +184,10 @@ def _neighborhood_table(
     return table
 
 
-def default_f_cap(schedule: TopologySchedule, l: int, f: int) -> int:
-    """Enumeration cap on |F|: f * ceil(n / smallest l-hop neighborhood)."""
-    if f == 0:
-        return 0
-    n = schedule.n
-    table = _neighborhood_table(schedule, l)
-    m = min(len(s) for sizes in table.values() for s in sizes)
-    return min(n - 1, f * math.ceil(n / max(m, 1)))
-
-
-def f_local_sets(
-    schedule: TopologySchedule, l: int, f: int, cap: int | None = None
-):
+def f_local_sets(schedule: TopologySchedule, l: int, f: int):
     """All F subsets satisfying the f-local predicate over one period,
-    in deterministic order: by cardinality, then lexicographically.
+    in deterministic order: by cardinality, then lexicographically. With
+    f = 0 there is no adversary, so the only F is the empty set.
 
     The predicate: |N_i^{l-}[k] ∩ F| <= f for every node i outside F and
     every scheduled step k.
@@ -210,11 +196,11 @@ def f_local_sets(
     its largest member, which keeps every level in lexicographic order. A
     node crowded by a partial F (more than f members in one of its
     neighborhoods) stays crowded as F grows, so it must join F later: a
-    partial F is dropped once such a node lies below its largest member, or
-    once there are more such nodes than the cap leaves room for.
+    partial F is dropped once such a node lies below its largest member.
     """
-    if cap is None:
-        cap = default_f_cap(schedule, l, f)
+    if f == 0:
+        yield frozenset()
+        return
     n = schedule.n
     table = _neighborhood_table(schedule, l)
     # For each node v, the nodes whose neighborhoods contain v (the only ones
@@ -228,14 +214,12 @@ def f_local_sets(
                 watch[v].append((i, hit))
 
     level = [(0, 0, 0)]  # (F, nodes crowded by F, largest member) as bitmasks
-    for size in range(cap + 1):
+    while level:
         grown = []
         for F, C, last in level:
             must = C & ~F
             if not must:
                 yield frozenset(bit_nodes(F))
-            if size == cap or must.bit_count() > cap - size:
-                continue
             # Nodes skipped between last and v never join F: stop at the
             # lowest node that must.
             hi = (must & -must).bit_length() - 1 if must else n
@@ -330,7 +314,7 @@ def is_jointly_robust_following(q: RobustnessQuery) -> RobustnessVerdict:
     schedule = q.schedule
     intervals = schedule.intervals()
     paths: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for F in f_local_sets(schedule, q.l, q.f, cap=q.f_cap):
+    for F in f_local_sets(schedule, q.l, q.f):
         followers = sorted(set(range(1, schedule.n + 1)) - q.leaders - F)
         if not followers:
             continue

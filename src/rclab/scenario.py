@@ -370,7 +370,7 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
             raise ScenarioError("mdp-msr requires 'T' and 'beta'")
         T, beta = _scalar(data, "T", float), _scalar(data, "beta", float)
         try:
-            params = ControlParams(T=T, beta=beta, f=f_param, l=l_param)
+            params = ControlParams(T=T, beta=beta)
         except AgentError as e:
             raise ScenarioError(str(e)) from e
 

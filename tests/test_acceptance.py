@@ -14,7 +14,6 @@ from rclab.engine import (
 from rclab.graphs import DiGraph, Path, TopologySchedule, all_paths_into, union_graph
 from rclab.messaging import (
     Message,
-    MessageSet,
     minimum_message_cover,
     mmc_brute_force_oracle,
 )
@@ -162,7 +161,7 @@ def test_criterion_05_staircase_tracking():
 
 
 def test_criterion_06_second_order_dichotomy():
-    p = ControlParams(T=0.8, beta=1.65, f=1, l=2)
+    p = ControlParams(T=0.8, beta=1.65)
     lo, hi = 1 + p.T**2 / 2, 2 - p.T**2 / 2
     gate = abs(p.beta * p.T - 1.32) < 1e-12 and lo <= p.beta * p.T <= hi and (lo, hi) == (1.32, 1.68)
 
@@ -264,7 +263,7 @@ def test_criterion_09_cover_solver_matches_oracle():
         if not paths:
             continue
         picked = rng.sample(paths, min(len(paths), rng.randint(1, 6)))
-        ms = MessageSet(tuple(Message(float(i), p) for i, p in enumerate(picked)))
+        ms = tuple(Message(float(i), p) for i, p in enumerate(picked))
         _, card = minimum_message_cover(ms)
         ok = ok and card == mmc_brute_force_oracle(ms)
         compared += 1

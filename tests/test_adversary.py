@@ -7,8 +7,6 @@ from rclab.adversary import (
     AttackScript,
     LocalityReport,
     Waveform,
-    byzantine_emit,
-    byzantine_relay,
     necessity_attack,
     validate_f_local,
 )
@@ -50,16 +48,16 @@ class TestAttackScript:
 
     def test_emit_per_group(self):
         s = self.script()
-        assert byzantine_emit(s, 0, 2) == 3.5
-        assert byzantine_emit(s, 0, 4) == 1.0
+        assert s.emit(0, 2) == 3.5
+        assert s.emit(0, 4) == 1.0
 
     def test_relay_same_matches_emit(self):
         s = self.script()
-        assert byzantine_relay(s, 77.0, 5, 1) == byzantine_emit(s, 5, 1)
+        assert s.relay(77.0, 5, 1) == s.emit(5, 1)
 
     def test_relay_identity_passes_through(self):
         s = AttackScript(8, Waveform.constant(1.0), relay_mode="identity")
-        assert byzantine_relay(s, 77.0, 5, 1) == 77.0
+        assert s.relay(77.0, 5, 1) == 77.0
 
     def test_malicious_forbids_groups(self):
         with pytest.raises(AdversaryError):

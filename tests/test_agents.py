@@ -10,7 +10,6 @@ from rclab.agents import (
     ControlParams,
     ReferenceFunction,
     SecondOrderState,
-    leader_step,
     mdp_msr_control,
     mw_msr_trim,
     mw_msr_update,
@@ -20,7 +19,6 @@ from rclab.graphs import Path
 from rclab.messaging import (
     Message,
     MessageError,
-    MessageSet,
     mmc_brute_force_oracle,
     mmc_cardinality,
 )
@@ -30,7 +28,7 @@ def one_hop_set(own, pairs, dest=99):
     """Messages (source, value) plus the self-message, one hop each."""
     msgs = [Message(v, Path((s, dest))) for s, v in pairs]
     msgs.append(Message(own, Path((dest,))))
-    return MessageSet(tuple(msgs))
+    return tuple(msgs)
 
 
 def classical_wmsr_retained(own, values, f):
@@ -48,7 +46,7 @@ class TestReferenceFunction:
         assert ref.value_at(0) == 1.0
         assert ref.value_at(99) == 1.0
         assert ref.value_at(100) == 3.0
-        assert leader_step(ref, 250) == 3.0
+        assert ref.value_at(250) == 3.0
 
     def test_single_piece(self):
         ref = ReferenceFunction.constant(1.0)
@@ -71,7 +69,9 @@ class TestReferenceFunction:
 class TestTrim:
     def test_f_zero_keeps_everything(self):
         s = one_hop_set(2.0, [(1, 1.0), (2, 3.0)])
-        assert mw_msr_trim(s, 2.0, 0) == s
+        retained = mw_msr_trim(s, 2.0, 0)
+        assert retained == s
+        assert all(a is b for a, b in zip(retained, s))
 
     def test_negative_f_rejected(self):
         s = one_hop_set(2.0, [(1, 1.0)])
@@ -79,7 +79,7 @@ class TestTrim:
             mw_msr_trim(s, 2.0, -1)
 
     def test_requires_self_message(self):
-        s = MessageSet((Message(1.0, Path((1, 2))),))
+        s = (Message(1.0, Path((1, 2))),)
         with pytest.raises(MessageError):
             mw_msr_trim(s, 1.0, 1)
 
@@ -91,7 +91,7 @@ class TestTrim:
     def test_equal_values_never_removed(self):
         s = one_hop_set(2.0, [(1, 2.0), (2, 2.0), (3, 5.0)])
         retained = mw_msr_trim(s, 2.0, 1)
-        assert sorted(retained.values()) == [2.0, 2.0, 2.0]
+        assert sorted(m.value for m in retained) == [2.0, 2.0, 2.0]
 
     @given(st.randoms())
     def test_one_hop_matches_classical_wmsr(self, rng):
@@ -101,7 +101,7 @@ class TestTrim:
         own = rng.choice([x / 7 for x in range(-20, 21)])
         s = one_hop_set(own, list(enumerate(values, start=1)))
         retained = mw_msr_trim(s, own, f)
-        assert sorted(retained.values()) == classical_wmsr_retained(own, values, f)
+        assert sorted(m.value for m in retained) == classical_wmsr_retained(own, values, f)
 
     def test_disjoint_extremes_removed_one_at_a_time(self):
         # two high values with node-disjoint paths: one adversary cannot
@@ -111,8 +111,8 @@ class TestTrim:
             Message(4.0, Path((2, 3, 9))),
             Message(0.0, Path((9,))),
         )
-        retained = mw_msr_trim(MessageSet(msgs), 0.0, 1)
-        assert sorted(retained.values()) == [0.0, 4.0]
+        retained = mw_msr_trim(msgs, 0.0, 1)
+        assert sorted(m.value for m in retained) == [0.0, 4.0]
 
     def test_shared_cover_removes_group(self):
         # both high values route through node 3: one adversary explains both
@@ -121,8 +121,8 @@ class TestTrim:
             Message(4.0, Path((2, 3, 9))),
             Message(0.0, Path((9,))),
         )
-        retained = mw_msr_trim(MessageSet(msgs), 0.0, 1)
-        assert sorted(retained.values()) == [0.0]
+        retained = mw_msr_trim(msgs, 0.0, 1)
+        assert sorted(m.value for m in retained) == [0.0]
 
     def test_removed_sides_have_cover_at_most_f(self):
         rng = random.Random(11)
@@ -134,8 +134,8 @@ class TestTrim:
                 relay = rng.choice([None, 7, 8])
                 path = (s, relay, 9) if relay else (s, 9)
                 msgs.append(Message(rng.uniform(-3, 3), Path(path)))
-            retained = mw_msr_trim(MessageSet(tuple(msgs)), own, f)
-            removed = [m for m in msgs if m not in retained.messages]
+            retained = mw_msr_trim(tuple(msgs), own, f)
+            removed = [m for m in msgs if m not in retained]
             upper = [m for m in removed if m.value > own]
             lower = [m for m in removed if m.value < own]
             for side in (upper, lower):
@@ -164,7 +164,7 @@ class TestTrim:
 
 class TestUpdate:
     def test_self_only(self):
-        s = MessageSet((Message(2.0, Path((1,))),))
+        s = (Message(2.0, Path((1,))),)
         assert mw_msr_update(s) == 2.0
 
     def test_mean(self):
@@ -176,40 +176,38 @@ class TestUpdate:
         msgs = tuple(
             Message(v, Path((i, 99))) for i, v in enumerate(values[:-1], start=1)
         ) + (Message(values[-1], Path((99,))),)
-        out = mw_msr_update(MessageSet(msgs))
+        out = mw_msr_update(msgs)
         assert min(values) - 1e-9 <= out <= max(values) + 1e-9
 
 
 class TestControlParams:
     def test_gate_accepts_boundary(self):
-        p = ControlParams(T=0.8, beta=1.65, f=1, l=2)
+        p = ControlParams(T=0.8, beta=1.65)
         assert p.beta * p.T >= 1 + p.T**2 / 2
 
     def test_gate_rejects_low_damping(self):
         with pytest.raises(AgentError):
-            ControlParams(T=0.8, beta=1.0, f=1, l=2)
+            ControlParams(T=0.8, beta=1.0)
 
     def test_gate_rejects_high_damping(self):
         with pytest.raises(AgentError):
-            ControlParams(T=0.8, beta=2.2, f=1, l=2)
+            ControlParams(T=0.8, beta=2.2)
 
     def test_rejects_nonpositive_period(self):
         with pytest.raises(AgentError):
-            ControlParams(T=0.0, beta=1.65, f=1, l=1)
+            ControlParams(T=0.0, beta=1.65)
 
 
 class TestSecondOrder:
-    params = ControlParams(T=0.8, beta=1.65, f=1, l=1)
+    params = ControlParams(T=0.8, beta=1.65)
 
     def test_equilibrium(self):
         own = SecondOrderState(3.0, 0.0)
-        s = MessageSet((Message(3.0, Path((1,))),))
-        assert mdp_msr_control(s, own, self.params) == 0.0
+        assert mdp_msr_control(3.0, own, self.params) == 0.0
 
     def test_pure_damping(self):
         own = SecondOrderState(3.0, 2.0)
-        s = MessageSet((Message(3.0, Path((1,))),))
-        assert mdp_msr_control(s, own, self.params) == -self.params.beta * 2.0
+        assert mdp_msr_control(3.0, own, self.params) == -self.params.beta * 2.0
 
     def test_step_at_rest(self):
         s = SecondOrderState(1.0, 0.0)

@@ -6,7 +6,6 @@ from rclab.adversary import AttackScript, Waveform, necessity_attack
 from rclab.agents import ReferenceFunction
 from rclab.engine import (
     EngineError,
-    consensus_error,
     contraction_oracle,
     convergence_report,
     envelope_nesting_holds,
@@ -92,13 +91,13 @@ class TestMetrics:
     def test_consensus_error_zero_when_equal(self):
         sc = make_scenario(init={2: ((1.0,),), 3: ((1.0,),), 4: ((1.0,),)})
         trace = run(sc).traces[0]
-        hi, lo, v = consensus_error(trace, 0)
-        assert (hi, lo, v) == (1.0, 1.0, 0.0)
+        assert {trace.x[0][i] for i in trace.normal_nodes} == {1.0}
+        assert trace.V[0] == 0.0
 
     def test_consensus_error_spread(self):
         sc = make_scenario(init={2: ((5.0,),), 3: ((1.0,),), 4: ((1.0,),)})
         trace = run(sc).traces[0]
-        assert consensus_error(trace, 0)[2] == 4.0
+        assert trace.V[0] == 4.0
 
     def test_v_hat_uses_two_rounds(self):
         sc = second_order_scenario()
@@ -120,7 +119,7 @@ def second_order_scenario(**kw):
         f=0,
         l=1,
         reference=ReferenceFunction.constant(1.0),
-        params=ControlParams(T=0.8, beta=1.65, f=0, l=1),
+        params=ControlParams(T=0.8, beta=1.65),
         init={2: ((3.0, 0.0),), 3: ((5.0, 0.0),), 4: ((2.0, 0.0),)},
         tol=1e-8,
         window=5,

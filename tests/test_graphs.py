@@ -9,16 +9,30 @@ from rclab.graphs import (
     all_paths_into,
     compact,
     compact_schedule,
-    graph_power,
     in_neighbors_l,
-    out_neighbors_l,
-    paths_to,
     union_graph,
 )
 
 
 def chain(n):
     return DiGraph.from_edges(n, [(i, i + 1) for i in range(1, n)])
+
+
+def paths_to(g, src, dst, l):
+    """All simple paths of at most l hops from src to dst, sorted by node
+    sequence: an oracle for ``all_paths_into``, walking forward from src."""
+    found = []
+
+    def extend(prefix):
+        if prefix[-1] == dst:
+            found.append(prefix)
+        elif len(prefix) <= l:
+            for (j, i) in g.edges:
+                if j == prefix[-1] and i not in prefix:
+                    extend(prefix + (i,))
+
+    extend((src,))
+    return [Path(p) for p in sorted(found)]
 
 
 class TestDiGraph:
@@ -37,12 +51,7 @@ class TestDiGraph:
     def test_neighbors(self):
         g = DiGraph.from_edges(4, [(1, 2), (3, 2), (2, 4)])
         assert g.in_neighbors(2) == {1, 3}
-        assert g.out_neighbors(2) == {4}
         assert g.in_neighbors(1) == frozenset()
-
-    def test_reversed_swaps_direction(self):
-        g = DiGraph.from_edges(3, [(1, 2), (2, 3)])
-        assert g.reversed().edges == {(2, 1), (3, 2)}
 
     def test_induced_keeps_ids(self):
         g = DiGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
@@ -59,8 +68,10 @@ class TestLHopNeighborhoods:
         assert in_neighbors_l(g, 4, 10) == {1, 2, 3, 4}
 
     def test_out_neighbors_mirror(self):
+        # the nodes 2 reaches within 2 hops are those whose 2-hop
+        # in-neighborhood holds 2
         g = chain(5)
-        assert out_neighbors_l(g, 2, 2) == {2, 3, 4}
+        assert {i for i in g.nodes if 2 in in_neighbors_l(g, i, 2)} == {2, 3, 4}
 
     def test_includes_self(self):
         g = chain(3)
@@ -110,10 +121,6 @@ class TestPaths:
             for a, b in zip(p.nodes, p.nodes[1:]):
                 assert (a, b) in g.edges
 
-    def test_graph_power(self):
-        g = chain(4)
-        assert graph_power(g, 2).edges == {(1, 2), (2, 3), (3, 4), (1, 3), (2, 4)}
-
 
 class TestTopologySchedule:
     def test_intervals_must_cover(self):
@@ -128,7 +135,7 @@ class TestTopologySchedule:
             TopologySchedule((chain(3), chain(4)), (2,))
 
     def test_cyclic_replay(self):
-        a, b = chain(3), graph_power(chain(3), 2)
+        a, b = chain(3), DiGraph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
         s = TopologySchedule((a, b), (2,))
         assert s.graph_at(0) is a
         assert s.graph_at(1) is b

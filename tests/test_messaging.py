@@ -7,7 +7,6 @@ from rclab.graphs import DiGraph, Path
 from rclab.messaging import (
     Message,
     MessageError,
-    MessageSet,
     minimum_message_cover,
     mmc_brute_force_oracle,
     mmc_cardinality,
@@ -17,7 +16,7 @@ from conftest import random_digraph
 
 
 def ms(*specs):
-    return MessageSet(tuple(Message(v, Path(p)) for v, p in specs))
+    return tuple(Message(v, Path(p)) for v, p in specs)
 
 
 class ConstHook:
@@ -36,17 +35,6 @@ class TestMessageTypes:
     def test_rejects_non_finite(self):
         with pytest.raises(MessageError):
             Message(float("nan"), Path((1, 2)))
-
-    def test_rejects_mixed_destinations(self):
-        with pytest.raises(MessageError):
-            ms((1.0, (1, 2)), (2.0, (1, 3)))
-
-    def test_with_self(self):
-        s = ms((1.0, (1, 2))).with_self(5.0)
-        assert s.messages[-1].path.nodes == (2,)
-        assert s.messages[-1].value == 5.0
-        empty = MessageSet(()).with_self(3.0, dest=4)
-        assert empty.destination == 4
 
 
 class TestRelayRound:
@@ -72,7 +60,7 @@ class TestRelayRound:
     def test_adversarial_source_uses_emit(self):
         g = DiGraph.from_edges(2, [(1, 2)])
         out = relay_round(g, {1: 0.0, 2: 0.0}, l=1, hooks={1: ConstHook(7.0)})
-        assert out[2].values() == [7.0]
+        assert [m.value for m in out[2]] == [7.0]
 
     @given(st.integers(3, 6), st.integers(1, 3), st.randoms())
     def test_path_multiset_independent_of_adversaries(self, n, l, rng):
@@ -103,11 +91,11 @@ class TestMinimumMessageCover:
 
     def test_self_path_is_domain_error(self):
         with pytest.raises(MessageError):
-            minimum_message_cover(MessageSet((Message(1.0, Path((2,))),)))
+            minimum_message_cover((Message(1.0, Path((2,))),))
 
     def test_empty_set_rejected(self):
         with pytest.raises(MessageError):
-            minimum_message_cover(MessageSet(()))
+            minimum_message_cover(())
 
     def test_cover_is_sound_and_minimal(self):
         rng = random.Random(7)
@@ -120,7 +108,7 @@ class TestMinimumMessageCover:
             if not paths:
                 continue
             picked = rng.sample(paths, min(len(paths), rng.randint(1, 6)))
-            s = MessageSet(tuple(Message(float(i), p) for i, p in enumerate(picked)))
+            s = tuple(Message(float(i), p) for i, p in enumerate(picked))
             cover, card = minimum_message_cover(s)
             assert len(cover) == card
             for m in s:
@@ -132,7 +120,7 @@ class TestMinimumMessageCover:
 
     def test_oracle_refuses_large_universe(self):
         paths = [(i, i + 1, 25) for i in range(1, 24, 2)]
-        s = MessageSet(tuple(Message(0.0, Path(p)) for p in paths))
+        s = tuple(Message(0.0, Path(p)) for p in paths)
         with pytest.raises(MessageError):
             mmc_brute_force_oracle(s)
 

@@ -19,7 +19,6 @@ from rclab.robustness import (
     RobustnessQuery,
     RobustnessVerdict,
     _max_disjoint_paths,
-    default_f_cap,
     f_local_sets,
     independent_path_count,
     is_jointly_robust_following,
@@ -49,16 +48,15 @@ def brute_independent_paths(g, S, i, l, forbidden=frozenset(), relays_inside_s=T
     return best
 
 
-def oracle_f_local_sets(schedule, l, f, cap=None):
-    """Every F of at most ``cap`` nodes, by cardinality then lexicographically,
-    kept when |N_i^{l-}[k] ∩ F| <= f for each node i outside F and step k."""
-    if cap is None:
-        cap = default_f_cap(schedule, l, f)
+def oracle_f_local_sets(schedule, l, f):
+    """Every F, by cardinality then lexicographically, kept when
+    |N_i^{l-}[k] ∩ F| <= f for each node i outside F and step k; with f = 0
+    (no adversary) only the empty F."""
     nodes = range(1, schedule.n + 1)
     table = {i: [in_neighbors_l(g, i, l) for g in schedule.graphs] for i in nodes}
     return [
         F
-        for size in range(cap + 1)
+        for size in (range(schedule.n + 1) if f else [0])
         for F in map(frozenset, itertools.combinations(nodes, size))
         if all(len(nb & F) <= f for i in nodes if i not in F for nb in table[i])
     ]
@@ -99,7 +97,7 @@ def oracle_violations(q, F, interval):
 def oracle_verdict(q):
     """The first failing (F, interval index) in search order with every
     violating S for it, or None when the property holds."""
-    for F in oracle_f_local_sets(q.schedule, q.l, q.f, q.f_cap):
+    for F in oracle_f_local_sets(q.schedule, q.l, q.f):
         for t, interval in enumerate(q.schedule.intervals()):
             bad = oracle_violations(q, F, interval)
             if bad:
@@ -182,7 +180,6 @@ class TestFLocalSets:
     def test_f_zero_only_empty(self):
         s = TopologySchedule.static(DiGraph.from_edges(3, [(1, 2), (2, 3)]))
         assert list(f_local_sets(s, 1, 0)) == [frozenset()]
-        assert default_f_cap(s, 1, 0) == 0
 
     def test_locality_respected(self):
         # node 3 hears 1 and 2; {1,2} would exceed the 1-local bound
@@ -197,8 +194,7 @@ class TestFLocalSets:
             n = rng.randint(2, 9)
             s = random_schedule(rng, n)
             l, f = rng.randint(1, 3), rng.randint(0, 2)
-            for cap in (None, rng.randint(0, n)):
-                assert list(f_local_sets(s, l, f, cap)) == oracle_f_local_sets(s, l, f, cap)
+            assert list(f_local_sets(s, l, f)) == oracle_f_local_sets(s, l, f)
 
 
 class TestJointlyRobustFollowing:
@@ -261,6 +257,29 @@ class TestJointlyRobustFollowing:
             assert cert.S == frozenset().union(*bad)
             outcomes.add(("F" if F else "no F", "later interval" if t else "first interval"))
         assert len(outcomes) == 5
+
+    def test_failing_f_larger_than_f_times_n_over_min_neighborhood(self):
+        """Every node has an in-neighbor, so f * ceil(n / min |N_i^{l-}|) is
+        2 here, yet the only failing F has 3 nodes: the enumeration must not
+        stop at that bound. All four necessary conditions pass."""
+        edges = [
+            (1, 4), (1, 5), (1, 7), (2, 4), (2, 5), (2, 8), (3, 1), (3, 4),
+            (3, 7), (4, 1), (4, 2), (4, 3), (4, 6), (4, 7), (4, 8), (5, 1),
+            (5, 2), (5, 3), (5, 7), (6, 1), (6, 2), (6, 7), (7, 5), (7, 6),
+            (7, 8), (8, 1), (8, 2), (8, 3), (8, 4), (8, 5), (8, 6), (8, 7),
+        ]
+        schedule = TopologySchedule.static(DiGraph.from_edges(8, edges))
+        q = RobustnessQuery(schedule, frozenset({3, 5, 6}), r=2, l=1, f=1)
+        assert all(flag for _, flag in necessary_conditions(q))
+        v = is_jointly_robust_following(q)
+        assert v.certificate == Certificate(frozenset({1, 5, 7}), frozenset({2, 4, 8}), 0)
+        F, t, bad = oracle_verdict(q)
+        assert (F, t, frozenset().union(*bad)) == (v.certificate.F, 0, v.certificate.S)
+        for i in v.certificate.S:
+            reachable, _ = jointly_reachable(
+                schedule, range(1), v.certificate.S, i, 2, 1, forbidden=v.certificate.F
+            )
+            assert not reachable
 
     def test_multi_hop_strictly_weaker(self, net9):
         schedule, leaders = net9
