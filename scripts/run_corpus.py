@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every shipped scenario and print its convergence report.
 
-Each scenario line carries its fingerprint and wall time; each axis line
-carries a SHA-256 of every round's x (and v) values, so two checkouts give
+Each scenario line carries its fingerprint and wall time. Each axis line
+carries max_msgset and a SHA-256 per per-round trace series: x (and v), V,
+V_hat, residual and retained_mean, every value as repr. Two checkouts give
 bit-identical traces exactly when their printed lines match (wall times
 aside). Pass --out-dir to also write per-axis trace and message CSV files.
 """
@@ -15,17 +16,31 @@ from rclab.engine import run
 from rclab.scenario import corpus_names, corpus_path, load_scenario
 
 
-def trace_digest(trace) -> str:
-    """SHA-256 of the per-round x (and v) values of every node, as repr."""
+def _row(values) -> str:
+    if isinstance(values, dict):
+        return " ".join(repr(values[i]) for i in sorted(values))
+    return repr(values)
+
+
+def series_digest(*series) -> str:
+    """SHA-256 of per-round series taken round by round: one line per round,
+    the series joined by '|', a {node: value} map as its values in node
+    order, every value as repr."""
     h = hashlib.sha256()
-    for k in range(trace.rounds):
-        row = trace.x[k]
-        h.update(" ".join(repr(row[i]) for i in sorted(row)).encode())
-        if trace.second_order:
-            row = trace.v[k]
-            h.update(b"|" + " ".join(repr(row[i]) for i in sorted(row)).encode())
-        h.update(b"\n")
+    for rows in zip(*series):
+        h.update(("|".join(_row(r) for r in rows) + "\n").encode())
     return h.hexdigest()
+
+
+def trace_digests(trace) -> dict[str, str]:
+    xv = (trace.x, trace.v) if trace.second_order else (trace.x,)
+    return {
+        "x/v": series_digest(*xv),
+        "V": series_digest(trace.V),
+        "V_hat": series_digest(trace.V_hat),
+        "residual": series_digest(trace.residual),
+        "retained_mean": series_digest(trace.retained_mean),
+    }
 
 
 def main():
@@ -45,10 +60,13 @@ def main():
         for axis, report in enumerate(result.reports):
             tag = f"{name}[{axis}]" if scenario.axes > 1 else name
             trace = result.traces[axis]
+            digests = " ".join(
+                f"{key}={d[:16]}" for key, d in trace_digests(trace).items()
+            )
             print(
                 f"{tag:35s} {report.classification:17s} "
-                f"residual={report.residual:.2e} "
-                f"rounds={trace.rounds} sha256={trace_digest(trace)}"
+                f"residual={report.residual:.2e} rounds={trace.rounds} "
+                f"max_msgset={trace.max_msgset} {digests}"
             )
         print(
             f"{name:35s} fingerprint={scenario.fingerprint()} "

@@ -12,7 +12,7 @@ from .robustness import (
     necessary_conditions,
 )
 from .messaging import Message, minimum_message_cover, relay_round
-from .agents import ControlParams, ReferenceFunction, SecondOrderState
+from .agents import ControlParams, ReferenceFunction
 from .adversary import AttackScript, Waveform, necessity_attack, validate_f_local
 from .scenario import Scenario, load_scenario, load_topology
 from .engine import ConvergenceReport, SimulationResult, Trace, run
@@ -32,7 +32,6 @@ __all__ = [
     "relay_round",
     "ControlParams",
     "ReferenceFunction",
-    "SecondOrderState",
     "AttackScript",
     "Waveform",
     "necessity_attack",

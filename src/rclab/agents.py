@@ -59,31 +59,6 @@ class ReferenceFunction:
 
 
 @dataclass(frozen=True)
-class SecondOrderState:
-    """Absolute position x, velocity v, and formation offset delta.
-
-    The consensus variable is x_hat = x - delta.
-    """
-
-    x: float
-    v: float
-    delta: float = 0.0
-
-    def __post_init__(self):
-        for val in (self.x, self.v, self.delta):
-            if not math.isfinite(val):
-                raise AgentError(f"non-finite state component {val}")
-
-    @property
-    def x_hat(self) -> float:
-        return self.x - self.delta
-
-    @staticmethod
-    def from_x_hat(x_hat: float, v: float, delta: float = 0.0) -> "SecondOrderState":
-        return SecondOrderState(x_hat + delta, v, delta)
-
-
-@dataclass(frozen=True)
 class ControlParams:
     """Second-order gains; the sampling/damping pair must satisfy the
     stability window 1 + T^2/2 <= beta*T <= 2 - T^2/2."""
@@ -158,15 +133,12 @@ def mw_msr_update(retained: tuple[Message, ...]) -> float:
     return math.fsum(m.value for m in retained) / len(retained)
 
 
-def mdp_msr_control(mean: float, own: SecondOrderState, p: ControlParams) -> float:
+def mdp_msr_control(mean: float, x: float, v: float, p: ControlParams) -> float:
     """Acceleration: position error to the retained mean (``mw_msr_update``)
     with velocity damping."""
-    return mean - own.x_hat - p.beta * own.v
+    return mean - x - p.beta * v
 
 
-def second_order_step(s: SecondOrderState, u: float, T: float) -> SecondOrderState:
-    """Sampled double-integrator update of (x_hat, v) at period T."""
-    x_hat = s.x_hat + T * s.v + (T**2 / 2) * u
-    v = s.v + T * u
-    return SecondOrderState.from_x_hat(x_hat, v, s.delta)
-
+def second_order_step(x: float, v: float, u: float, T: float) -> tuple[float, float]:
+    """Sampled double-integrator update of (x, v) at period T."""
+    return x + T * v + (T**2 / 2) * u, v + T * u

@@ -20,7 +20,6 @@ from .agents import (
     mw_msr_trim,
     mw_msr_update,
     second_order_step,
-    SecondOrderState,
 )
 from .graphs import DiGraph, Path, all_paths_into
 from .messaging import Message, relay_round
@@ -119,16 +118,6 @@ def _paths_for(g: DiGraph, l: int):
     return {i: tuple(all_paths_into(g, i, l)) for i in g.nodes}
 
 
-def round_budget(scenario: Scenario, v0: float) -> int:
-    """The explicit budget if set; else one convergence window when the
-    initial error is already within tolerance; else max_rounds."""
-    if scenario.budget is not None:
-        return scenario.budget
-    if v0 <= scenario.tol:
-        return scenario.window + 1
-    return scenario.max_rounds
-
-
 class _MessageLog:
     """Optional streaming sink for per-round delivered messages."""
 
@@ -174,18 +163,27 @@ def _envelope(states: dict[int, float], nodes: frozenset[int]) -> tuple[float, f
 
 
 def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = None) -> Trace:
-    """Simulate one axis to convergence or budget exhaustion."""
+    """Simulate one axis to convergence or budget exhaustion.
+
+    Node roles are fixed before the loop. Anchors (the normal leaders, and in
+    secure mode the normal virtual leaders) adopt the reference each round;
+    the other normal followers trim and average; adversaries follow their
+    scripts.
+    """
     schedule = scenario.schedule
     second = scenario.second_order
     scripts = scenario.scripts
     adversaries = scenario.adversaries
     normal_followers = scenario.normal_followers
-    normal_leaders = scenario.normal_leaders
     ref = scenario.reference
-    secure = scenario.algorithm == "mw-msr-secure"
-    virtual_leaders = scenario.secure_virtual_leaders() if secure else frozenset()
+    anchors = scenario.normal_leaders
     # Secure mode exchanges values among the followers only.
-    exchange = schedule.induced(scenario.followers) if secure else schedule
+    exchange = schedule
+    if scenario.algorithm == "mw-msr-secure":
+        anchors |= scenario.secure_virtual_leaders() & normal_followers
+        exchange = schedule.induced(scenario.followers)
+    anchor_followers = anchors & normal_followers
+    trimming = normal_followers - anchors
 
     x, v = _initial_axis_state(scenario, axis)
     trace = Trace(
@@ -200,34 +198,25 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
         K=schedule.max_interval_length,
         params=scenario.params,
     )
-    metric_nodes = (normal_leaders | normal_followers) if normal_leaders else (
-        virtual_leaders - adversaries | normal_followers
-    )
-
-    budget = round_budget(
-        scenario, max(x[i] for i in metric_nodes) - min(x[i] for i in metric_nodes)
-    )
-    last_piece_start = scenario.reference.pieces[-1][0]
+    metric_nodes = trace.normal_nodes
+    budget = scenario.max_rounds if scenario.budget is None else scenario.budget
+    last_piece_start = ref.pieces[-1][0]
     run_length = 0
-    prev_x: dict[int, float] | None = None
+    # V_hat spans rounds k-1 and k; at round 0 it spans round 0 alone.
+    prev_lo, prev_hi = _envelope(x, metric_nodes)
 
     for k in range(budget + 1):
         # Metrics on the state at round k.
         lo, hi = _envelope(x, metric_nodes)
+        r_now = ref.value_at(k)
+        res = max((abs(x[i] - r_now) for i in normal_followers), default=0.0)
         trace.x.append(dict(x))
-        if second:
-            trace.v.append(dict(v))
         trace.V.append(hi - lo)
         if second:
-            if prev_x is None:
-                trace.V_hat.append(hi - lo)
-            else:
-                plo, phi = _envelope(prev_x, metric_nodes)
-                trace.V_hat.append(max(hi, phi) - min(lo, plo))
-        r_now = ref.value_at(k)
-        res = max(abs(x[i] - r_now) for i in normal_followers) if normal_followers else 0.0
-        if second and normal_followers:
-            res = max(res, max(abs(v[i]) for i in normal_followers))
+            trace.v.append(dict(v))
+            trace.V_hat.append(max(hi, prev_hi) - min(lo, prev_lo))
+            prev_lo, prev_hi = lo, hi
+            res = max(res, max((abs(v[i]) for i in normal_followers), default=0.0))
         trace.residual.append(res)
 
         run_length = run_length + 1 if res <= scenario.tol else 0
@@ -243,34 +232,28 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
         if message_log is not None:
             message_log.record(k, delivered, x, adversaries)
 
-        means: dict[int, float] = {}
+        # Anchored followers average nothing; they record their own value.
+        means = {i: x[i] for i in anchor_followers}
         next_x, next_v = dict(x), dict(v)
-        for i in normal_followers:
-            if secure and i in virtual_leaders:
-                means[i] = x[i]
-                next_x[i] = ref.value_at(k)
-                continue
+        for i in trimming:
             ms = delivered[i] + (Message(x[i], Path((i,))),)
             trace.max_msgset = max(trace.max_msgset, len(ms))
-            retained = mw_msr_trim(ms, x[i], scenario.f)
-            means[i] = mw_msr_update(retained)
+            means[i] = mw_msr_update(mw_msr_trim(ms, x[i], scenario.f))
             if second:
-                state = SecondOrderState.from_x_hat(x[i], v[i])
-                u = mdp_msr_control(means[i], state, scenario.params)
-                nxt = second_order_step(state, u, scenario.params.T)
-                next_x[i], next_v[i] = nxt.x_hat, nxt.v
+                u = mdp_msr_control(means[i], x[i], v[i], scenario.params)
+                next_x[i], next_v[i] = second_order_step(x[i], v[i], u, scenario.params.T)
             else:
                 next_x[i] = means[i]
         trace.retained_mean.append(means)
 
-        for d in normal_leaders:
-            next_x[d] = ref.value_at(k)
+        for d in anchors:
+            next_x[d] = r_now
             next_v[d] = 0.0
         for a in adversaries:
             next_x[a] = scripts[a].default.value(k + 1)
             next_v[a] = 0.0
 
-        prev_x, x, v = x, next_x, next_v
+        x, v = next_x, next_v
 
     return trace
 
@@ -307,23 +290,17 @@ def convergence_report(trace: Trace, tol: float, window: int) -> ConvergenceRepo
     if tol <= 0:
         raise EngineError(f"tolerance must be positive, got {tol}")
     rounds = trace.rounds
-    followers = trace.normal_followers
-
     segments = []
     for seg_range, value in trace.reference.segments(rounds):
         run_len, conv_round = 0, None
-        res = 0.0
         for k in seg_range:
-            res = max(abs(trace.x[k][i] - value) for i in followers)
-            if trace.second_order:
-                res = max(res, max(abs(trace.v[k][i]) for i in followers))
-            run_len = run_len + 1 if res <= tol else 0
+            run_len = run_len + 1 if trace.residual[k] <= tol else 0
             if run_len >= window and conv_round is None:
                 conv_round = k - window + 1
         segments.append(
             SegmentReport(
                 seg_range.start, seg_range.stop, value,
-                conv_round is not None, conv_round, res,
+                conv_round is not None, conv_round, trace.residual[seg_range.stop - 1],
             )
         )
 
@@ -331,7 +308,7 @@ def convergence_report(trace: Trace, tol: float, window: int) -> ConvergenceRepo
     final_res = trace.residual[-1]
     vel = None
     if trace.second_order:
-        vel = max(abs(trace.v[-1][i]) for i in followers)
+        vel = max((abs(trace.v[-1][i]) for i in trace.normal_followers), default=0.0)
     if last.converged:
         classification = "converged"
     else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
@@ -223,7 +224,7 @@ class Scenario:
     tol: float = 1e-6
     window: int = 50
     max_rounds: int = 2000
-    budget: int | None = None  # explicit round budget; None = see round_budget
+    budget: int | None = None  # explicit round budget; None = max_rounds
 
     @property
     def second_order(self) -> bool:
@@ -265,10 +266,23 @@ class Scenario:
             errors.append(f"need f >= 0 and l >= 1, got f={self.f} l={self.l}")
         if self.axes not in (1, 2):
             errors.append(f"axes must be 1 or 2, got {self.axes}")
-        if self.tol <= 0:
-            errors.append(f"tolerance must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            errors.append(f"tolerance must be positive and finite, got {self.tol}")
         if self.window < 1 or self.max_rounds < 1:
             errors.append("window and max_rounds must be >= 1")
+        if self.budget is not None and self.budget < 0:
+            errors.append(f"budget must be >= 0, got {self.budget}")
+        values = {
+            f"init[{i}]": [v for vals in per_axis for v in vals]
+            for i, per_axis in self.init.items()
+        }
+        values.update((f"delta[{i}]", offsets) for i, offsets in self.delta.items())
+        for i, script in self.scripts.items():
+            waves = [script.default] + [w for _, w in script.groups]
+            values[f"adversary {i}"] = [x for w in waves for x in (w.center, w.amplitude)]
+        bad = [name for name, vals in values.items() if not all(map(math.isfinite, vals))]
+        if bad:
+            errors.append(f"non-finite values in {', '.join(bad)}")
         if not self.leaders:
             errors.append("at least one leader required")
         for i in sorted(set(self.init) | set(self.delta) | set(self.scripts)):

@@ -9,7 +9,6 @@ from rclab.agents import (
     AgentError,
     ControlParams,
     ReferenceFunction,
-    SecondOrderState,
     mdp_msr_control,
     mw_msr_trim,
     mw_msr_update,
@@ -202,28 +201,18 @@ class TestSecondOrder:
     params = ControlParams(T=0.8, beta=1.65)
 
     def test_equilibrium(self):
-        own = SecondOrderState(3.0, 0.0)
-        assert mdp_msr_control(3.0, own, self.params) == 0.0
+        assert mdp_msr_control(3.0, 3.0, 0.0, self.params) == 0.0
 
     def test_pure_damping(self):
-        own = SecondOrderState(3.0, 2.0)
-        assert mdp_msr_control(3.0, own, self.params) == -self.params.beta * 2.0
+        assert mdp_msr_control(3.0, 3.0, 2.0, self.params) == -self.params.beta * 2.0
 
     def test_step_at_rest(self):
-        s = SecondOrderState(1.0, 0.0)
-        assert second_order_step(s, 0.0, 0.8) == s
+        assert second_order_step(1.0, 0.0, 0.0, 0.8) == (1.0, 0.0)
 
     def test_step_coasting(self):
-        s = SecondOrderState(1.0, 1.0)
-        nxt = second_order_step(s, 0.0, 0.8)
-        assert nxt.x_hat == pytest.approx(1.8)
-        assert nxt.v == 1.0
-
-    def test_offset_preserved(self):
-        s = SecondOrderState(5.0, 0.5, delta=2.0)
-        nxt = second_order_step(s, 1.0, 0.8)
-        assert nxt.delta == 2.0
-        assert nxt.x == nxt.x_hat + 2.0
+        x, v = second_order_step(1.0, 1.0, 0.0, 0.8)
+        assert x == pytest.approx(1.8)
+        assert v == 1.0
 
     @given(st.lists(st.floats(-5, 5), min_size=3, max_size=12))
     def test_two_step_recursion_identity(self, means):
@@ -234,10 +223,10 @@ class TestSecondOrder:
         for m in means:
             d = m - xs[-1]
             u = d - beta * vs[-1]
-            st_ = second_order_step(SecondOrderState(xs[-1], vs[-1]), u, T)
+            x, v = second_order_step(xs[-1], vs[-1], u, T)
             ds.append(d)
-            xs.append(st_.x_hat)
-            vs.append(st_.v)
+            xs.append(x)
+            vs.append(v)
         for k in range(1, len(means)):
             predicted = (
                 (2 - T * beta) * xs[k]

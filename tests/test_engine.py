@@ -9,7 +9,6 @@ from rclab.engine import (
     contraction_oracle,
     convergence_report,
     envelope_nesting_holds,
-    round_budget,
     run,
     write_trace_csv,
 )
@@ -176,6 +175,20 @@ class TestConvergenceReport:
         assert not result.converged
         assert result.reports[0].classification == "stalled"
 
+    @pytest.mark.parametrize("second", [False, True], ids=["first-order", "second-order"])
+    def test_no_normal_followers(self, second):
+        g = DiGraph.from_edges(2, [(1, 2), (2, 1)])
+        build = second_order_scenario if second else make_scenario
+        sc = build(
+            schedule=TopologySchedule.static(g),
+            f=1,
+            init={},
+            scripts={2: AttackScript(2, Waveform(3.0))},
+        )
+        report = run(sc).reports[0]
+        assert report.classification == "converged"
+        assert report.residual == 0.0
+
     def test_staircase_segments(self):
         sc = make_scenario(
             reference=ReferenceFunction(((0, 1.0), (100, 3.0))),
@@ -191,15 +204,30 @@ class TestConvergenceReport:
 class TestBudget:
     def test_explicit_budget_wins(self):
         sc = make_scenario(budget=17)
-        assert round_budget(sc, 100.0) == 17
+        assert run(sc).traces[0].rounds == 18
 
     def test_capped_by_max_rounds(self):
         sc = make_scenario(max_rounds=50)
-        assert round_budget(sc, 100.0) <= 50
+        assert run(sc).traces[0].rounds == 51
 
-    def test_tiny_error_short_budget(self):
-        sc = make_scenario()
-        assert round_budget(sc, 0.0) == sc.window + 1
+    def test_equal_start_still_simulates_reference_step(self):
+        sc = make_scenario(
+            reference=ReferenceFunction(((0, 1.0), (100, 3.0))),
+            init={2: ((1.0,),), 3: ((1.0,),), 4: ((1.0,),)},
+            tol=1e-7,
+            window=10,
+        )
+        report = run(sc).reports[0]
+        assert len(report.segments) == 2
+        assert all(seg.converged for seg in report.segments)
+
+    def test_equal_positions_with_velocities_converge(self):
+        sc = second_order_scenario(
+            init={2: ((1.0, 0.5),), 3: ((1.0, -0.3),), 4: ((1.0, 0.2),)},
+            window=10,
+        )
+        report = run(sc).reports[0]
+        assert report.classification == "converged"
 
 
 class TestAdversarialRun:

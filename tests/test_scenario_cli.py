@@ -310,6 +310,13 @@ class TestCli:
         assert res.exit_code == 3
         assert "converged: False" in res.output
 
+    def test_max_rounds_caps_file_budget(self, tmp_path):
+        p = tmp_path / "capped.yaml"
+        p.write_text(corpus_path("fig4a_1hop").read_text() + "\nbudget: 300\n")
+        res = self.invoke("simulate", "--scenario", str(p), "--max-rounds", "10")
+        assert res.exit_code == 3
+        assert "rounds simulated: 11" in res.output
+
     def test_simulate_unknown_scenario(self):
         res = self.invoke("simulate", "--scenario", "no_such_thing")
         assert res.exit_code == 1
@@ -389,6 +396,32 @@ class TestMalformedInput:
                 parse_topology({**TOPOLOGY, **over})
             else:
                 parse_scenario({**SCENARIO, **over}, "scn", workspace)
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"init": {2: float("nan"), 3: 5.0}}, "non-finite values in init[2]"),
+            ({"delta": {2: float("inf")}}, "non-finite values in delta[2]"),
+            ({"adversaries": [{"node": 4, "emit": {"center": float("inf")}}]},
+             "non-finite values in adversary 4"),
+            ({"adversaries": [{"node": 4, "emit": {
+                "default": {"center": 2.0},
+                "groups": [{"receivers": [2], "center": 1.0, "amplitude": float("nan")}],
+            }}]}, "non-finite values in adversary 4"),
+            ({"tol": float("nan")}, "tolerance must be positive and finite"),
+            ({"tol": float("inf")}, "tolerance must be positive and finite"),
+            ({"budget": -1}, "budget must be >= 0"),
+        ],
+        ids=["init-nan", "delta-inf", "center-inf", "group-amplitude-nan",
+             "tol-nan", "tol-inf", "budget-negative"],
+    )
+    def test_invalid_value_fails_validate_and_simulate(self, workspace, over, message):
+        p = workspace / "scn.yaml"
+        p.write_text(yaml.safe_dump({**SCENARIO, **over}))
+        for command in ("validate", "simulate"):
+            res = CliRunner().invoke(main, [command, "--scenario", str(p)])
+            assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+            assert message in res.output
 
     @given(st.booleans(), st.data())
     def test_only_scenario_error_escapes(self, tmp_path_factory, mutate_topology, data):
