@@ -115,10 +115,11 @@ def mw_msr_trim(ms: tuple[Message, ...], own: float, f: int) -> tuple[Message, .
     messages are the given objects, in the given order."""
     if f < 0:
         raise AgentError(f"trim parameter must be >= 0, got {f}")
-    if not any(m.path.hops == 0 for m in ms):
+    # A path's mask is 0 only for the self-path (no node but the destination).
+    if all(m.path.mask for m in ms):
         raise MessageError("message set must contain the self-message")
-    upper = [m for m in ms if m.path.hops > 0 and m.value > own]
-    lower = [m for m in ms if m.path.hops > 0 and m.value < own]
+    upper = [m for m in ms if m.path.mask and m.value > own]
+    lower = [m for m in ms if m.path.mask and m.value < own]
     upper.sort(key=lambda m: -m.value)
     lower.sort(key=lambda m: m.value)
     removed = set(id(m) for m in _trim_side(upper, f))

@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Protocol, Sequence
 
-from .graphs import DiGraph, Path, all_paths_into, bit_nodes
+from .graphs import DiGraph, Path, all_paths_into, bit_nodes, nodes_bit
 
 
 class MessageError(ValueError):
@@ -42,7 +43,13 @@ class Message:
 
 
 class AdversaryHook(Protocol):
-    """Per-node behavior plugged into relay_round for adversarial nodes."""
+    """Per-node behavior plugged into relay_round for adversarial nodes.
+
+    ``emit`` must be a pure function of (k, receiver), and ``relay`` of
+    (value, k, receiver): relay_round calls ``emit`` once per (source,
+    receiver) in a round and reuses the value for every path starting
+    with that hop. ``AttackScript`` satisfies this.
+    """
 
     def emit(self, k: int, receiver: int) -> float: ...
 
@@ -68,17 +75,29 @@ def relay_round(
     depends on g and l), letting callers amortize it across rounds.
     """
     hooks = hooks or {}
+    # Only a path through an adversary (destination aside) can be tampered.
+    adv = nodes_bit(hooks)
+    emitted: dict[tuple[int, int], float] = {}
     out: dict[int, tuple[Message, ...]] = {}
     for i in g.nodes:
         msgs = []
         for p in (paths[i] if paths is not None else all_paths_into(g, i, l)):
-            src = p.source
-            hook = hooks.get(src)
-            value = hook.emit(k, p.nodes[1]) if hook is not None else senders[src]
-            for pos in range(1, p.hops):
-                relay_hook = hooks.get(p.nodes[pos])
+            nodes = p.nodes
+            if not p.mask & adv:
+                msgs.append(Message(senders[nodes[0]], p))
+                continue
+            hook = hooks.get(nodes[0])
+            if hook is None:
+                value = senders[nodes[0]]
+            else:
+                key = (nodes[0], nodes[1])
+                if key not in emitted:
+                    emitted[key] = hook.emit(k, nodes[1])
+                value = emitted[key]
+            for pos in range(1, len(nodes) - 1):
+                relay_hook = hooks.get(nodes[pos])
                 if relay_hook is not None:
-                    value = relay_hook.relay(value, k, p.nodes[pos + 1])
+                    value = relay_hook.relay(value, k, nodes[pos + 1])
             msgs.append(Message(value, p))
         out[i] = tuple(msgs)
     return out
@@ -141,10 +160,18 @@ def minimum_message_cover(ms: Sequence[Message]) -> tuple[frozenset[int], int]:
 def mmc_cardinality(messages: Sequence[Message], cap: int) -> int:
     """min(minimum cover cardinality, cap + 1), as the trimming rule asks.
 
-    Iterative deepening over the bounded search tree up to depth cap:
-    O(m * l^c) for m messages of at most l hops and c = min(cover, cap + 1).
+    The answer depends only on the set of path masks, so it is cached on
+    that set (see ``_mask_cardinality``).
     """
     masks = _path_candidate_masks(_nonempty(messages, "mmc_cardinality"))
+    return _mask_cardinality(tuple(sorted(set(masks))), cap)
+
+
+@lru_cache(maxsize=4096)
+def _mask_cardinality(masks: tuple[int, ...], cap: int) -> int:
+    """Iterative deepening over the bounded search tree up to depth cap:
+    O(m * l^c) for m masks of at most l nodes and c = min(cover, cap + 1).
+    """
     for size in range(1, cap + 1):
         if _cover_within(masks, size) is not None:
             return size

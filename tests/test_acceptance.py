@@ -1,7 +1,10 @@
 """End-to-end acceptance checks. Each test prints one PASS/FAIL line."""
 
+import hashlib
+import json
 import random
 import time
+from pathlib import Path as FsPath
 
 from rclab.adversary import necessity_attack
 from rclab.agents import ControlParams, ReferenceFunction
@@ -42,6 +45,9 @@ OPERATING_POINTS = {
     "net9_aug": (2, 1, 1),
     "net15": (3, 3, 2),
 }
+
+# The benchmark's pinned seed-0 traces are the shipped corpus scenarios.
+PINNED = FsPath(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
 
 _RESULTS = {}
 
@@ -316,3 +322,29 @@ def test_criterion_10_necessary_condition_filters():
         "synthetic violation is rejected",
         ok,
     )
+
+
+def trace_digest(trace):
+    """SHA-256 of the per-round x (and v) values of every node, as repr."""
+    h = hashlib.sha256()
+    for k in range(trace.rounds):
+        row = trace.x[k]
+        h.update(" ".join(repr(row[i]) for i in sorted(row)).encode())
+        if trace.second_order:
+            row = trace.v[k]
+            h.update(b"|" + " ".join(repr(row[i]) for i in sorted(row)).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_criterion_11_corpus_traces_bit_identical_to_pinned():
+    pinned = {}
+    for seeds in json.loads(PINNED.read_text()).values():
+        pinned.update(seeds["0"])
+    ok = sorted(pinned) == sorted(SCENARIOS)
+    for name in SCENARIOS:
+        result = corpus_run(name)
+        want = pinned.get(name, {})
+        ok = ok and result.scenario.fingerprint() == want.get("fingerprint")
+        ok = ok and [trace_digest(t) for t in result.traces] == want.get("digests")
+    check(11, f"{len(SCENARIOS)} corpus traces bit-identical to the pinned x/v digests", ok)

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from rclab.graphs import DiGraph, Path
+from rclab.adversary import AttackScript, Waveform
+from rclab.graphs import DiGraph, Path, all_paths_into
 from rclab.messaging import (
     Message,
     MessageError,
@@ -29,6 +30,50 @@ class ConstHook:
 
     def relay(self, value, k, receiver):
         return value if self.relay_value is None else self.relay_value
+
+
+class CountingHook(ConstHook):
+    def __init__(self, emit_value):
+        super().__init__(emit_value)
+        self.emits = []
+
+    def emit(self, k, receiver):
+        self.emits.append(receiver)
+        return self.emit_value
+
+
+def walk_relay_round(g, senders, l, k, hooks):
+    """Reference relay: every path walks every relay, one hop at a time."""
+    out = {}
+    for i in g.nodes:
+        msgs = []
+        for p in all_paths_into(g, i, l):
+            hook = hooks.get(p.source)
+            value = hook.emit(k, p.nodes[1]) if hook is not None else senders[p.source]
+            for pos in range(1, p.hops):
+                relay_hook = hooks.get(p.nodes[pos])
+                if relay_hook is not None:
+                    value = relay_hook.relay(value, k, p.nodes[pos + 1])
+            msgs.append((p.nodes, value))
+        out[i] = msgs
+    return out
+
+
+def random_script(rng, node, n, honest):
+    """A Byzantine script with receiver groups, a pass-through relay, or an
+    honest emitter that corrupts only what it relays."""
+    kind = rng.choice(["groups", "identity", "relay-only"])
+    if kind == "relay-only":
+        return AttackScript(node, Waveform.constant(honest), relay_mode="same")
+    receivers = [i for i in range(1, n + 1) if i != node]
+    rng.shuffle(receivers)
+    cut = rng.randint(0, len(receivers))
+    groups = (
+        (frozenset(receivers[:cut]), Waveform(rng.uniform(-5, 5), 1.0, 2)),
+        (frozenset(receivers[cut:]), Waveform(rng.uniform(-5, 5), 0.5, 3)),
+    )
+    mode = "identity" if kind == "identity" else "same"
+    return AttackScript(node, Waveform(100.0 + node), groups, relay_mode=mode)
 
 
 class TestMessageTypes:
@@ -70,6 +115,35 @@ class TestRelayRound:
         hooked = relay_round(g, senders, l, hooks={1: ConstHook(123.0, 321.0)})
         for i in g.nodes:
             assert [m.path for m in clean[i]] == [m.path for m in hooked[i]]
+
+    def test_matches_per_hop_walk(self):
+        rng = random.Random(2024)
+        through_relay = 0
+        for _ in range(150):
+            n = rng.randint(3, 8)
+            g = random_digraph(rng, n)
+            l, k = rng.randint(1, 3), rng.randint(0, 5)
+            senders = {i: rng.uniform(-10, 10) for i in g.nodes}
+            adversaries = rng.sample(list(g.nodes), rng.randint(1, max(1, n // 2)))
+            hooks = {a: random_script(rng, a, n, senders[a]) for a in adversaries}
+            want = walk_relay_round(g, senders, l, k, hooks)
+            got = relay_round(g, senders, l, k, hooks)
+            assert sorted(got) == sorted(want)
+            for i in g.nodes:
+                assert [(m.path.nodes, m.value) for m in got[i]] == want[i]
+                # Honest source, value changed by an adversarial relay.
+                through_relay += sum(
+                    1 for nodes, value in want[i]
+                    if nodes[0] not in hooks and value != senders[nodes[0]]
+                )
+        assert through_relay > 0
+
+    def test_emit_called_once_per_source_and_receiver(self):
+        g = DiGraph.from_edges(4, [(1, 2), (1, 3), (2, 4), (3, 4), (2, 3)])
+        hook = CountingHook(5.0)
+        out = relay_round(g, {i: 0.0 for i in g.nodes}, l=3, hooks={1: hook})
+        assert sorted(hook.emits) == [2, 3]
+        assert {m.value for msgs in out.values() for m in msgs if m.source == 1} == {5.0}
 
 
 class TestMinimumMessageCover:
@@ -117,6 +191,38 @@ class TestMinimumMessageCover:
             assert card == oracle
             for cap in range(oracle + 2):
                 assert mmc_cardinality(s, cap) == min(oracle, cap + 1)
+
+    def test_cardinality_depends_on_mask_set_and_cap(self):
+        rng = random.Random(31)
+        deepest = 0
+        for _ in range(150):
+            g = random_digraph(rng, rng.randint(3, 8))
+            paths = all_paths_into(g, 1, 3)
+            if not paths:
+                continue
+            picked = rng.sample(paths, min(len(paths), rng.randint(1, 7)))
+            base = [Message(float(i), p) for i, p in enumerate(picked)]
+            oracle = mmc_brute_force_oracle(base)
+            deepest = max(deepest, oracle)
+            variants = (
+                base,
+                base[::-1],
+                rng.sample(base, len(base)),
+                base + rng.choices(base, k=3),
+                [Message(-m.value, m.path) for m in base],
+            )
+            for cap in [*range(oracle + 2), *reversed(range(oracle + 2))]:
+                for v in variants:
+                    assert mmc_cardinality(v, cap) == min(oracle, cap + 1)
+        assert deepest >= 2
+
+    def test_cardinality_rejects_empty_and_self_path(self):
+        s = ms((1.0, (1, 2)), (2.0, (3, 2)))
+        assert mmc_cardinality(s, 2) == 2
+        with pytest.raises(MessageError):
+            mmc_cardinality(s + (Message(0.0, Path((2,))),), 2)
+        with pytest.raises(MessageError):
+            mmc_cardinality((), 2)
 
     def test_oracle_refuses_large_universe(self):
         paths = [(i, i + 1, 25) for i in range(1, 24, 2)]
