@@ -112,18 +112,28 @@ def mw_msr_trim(ms: tuple[Message, ...], own: float, f: int) -> tuple[Message, .
     """Remove extreme values: the largest (resp. smallest) received values
     strictly above (below) own, as long as one set of <= f nodes could have
     produced them. The self-message is always retained, and the retained
-    messages are the given objects, in the given order."""
+    messages are the given objects, in the given order; if none is removed,
+    ``ms`` itself is returned."""
     if f < 0:
         raise AgentError(f"trim parameter must be >= 0, got {f}")
-    # A path's mask is 0 only for the self-path (no node but the destination).
-    if all(m.path.mask for m in ms):
+    has_self = False
+    upper, lower = [], []
+    for m in ms:
+        # A path's mask is 0 only for the self-path (no node but the destination).
+        if not m.path.mask:
+            has_self = True
+        elif m.value > own:
+            upper.append(m)
+        elif m.value < own:
+            lower.append(m)
+    if not has_self:
         raise MessageError("message set must contain the self-message")
-    upper = [m for m in ms if m.path.mask and m.value > own]
-    lower = [m for m in ms if m.path.mask and m.value < own]
     upper.sort(key=lambda m: -m.value)
     lower.sort(key=lambda m: m.value)
-    removed = set(id(m) for m in _trim_side(upper, f))
-    removed |= set(id(m) for m in _trim_side(lower, f))
+    removed = {id(m) for m in _trim_side(upper, f)}
+    removed.update(id(m) for m in _trim_side(lower, f))
+    if not removed:
+        return ms
     return tuple(m for m in ms if id(m) not in removed)
 
 

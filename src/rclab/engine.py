@@ -128,9 +128,11 @@ class _MessageLog:
     def record(self, k, delivered, senders, adversaries):
         for i in sorted(delivered):
             for m in delivered[i]:
-                tampered = m.source in adversaries or m.value != senders[m.source]
+                nodes = m.path.nodes
+                src = nodes[0]
+                tampered = src in adversaries or m.value != senders[src]
                 self.writer.writerow(
-                    [k, m.source, i, "-".join(map(str, m.path.nodes)), repr(m.value), int(tampered)]
+                    [k, src, i, "-".join(map(str, nodes)), repr(m.value), int(tampered)]
                 )
 
 
@@ -184,6 +186,7 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
         exchange = schedule.induced(scenario.followers)
     anchor_followers = anchors & normal_followers
     trimming = normal_followers - anchors
+    self_paths = {i: Path((i,)) for i in trimming}
 
     x, v = _initial_axis_state(scenario, axis)
     trace = Trace(
@@ -236,7 +239,7 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
         means = {i: x[i] for i in anchor_followers}
         next_x, next_v = dict(x), dict(v)
         for i in trimming:
-            ms = delivered[i] + (Message(x[i], Path((i,))),)
+            ms = delivered[i] + (Message(x[i], self_paths[i]),)
             trace.max_msgset = max(trace.max_msgset, len(ms))
             means[i] = mw_msr_update(mw_msr_trim(ms, x[i], scenario.f))
             if second:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, NamedTuple, Protocol, Sequence
 
 from .graphs import DiGraph, Path, all_paths_into, bit_nodes, nodes_bit
 
@@ -22,16 +21,29 @@ class MessageError(ValueError):
     """Invalid message or message-set operation."""
 
 
-@dataclass(frozen=True)
-class Message:
-    """A relayed value with its (authentic) path; destination is path[-1]."""
-
+class _MessageFields(NamedTuple):
     value: float
     path: Path
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise MessageError(f"non-finite message value {self.value}")
+
+class Message(_MessageFields):
+    """A relayed value with its (authentic) path; destination is path[-1].
+
+    Immutable, hashable and equal by fields. A tuple underneath, because one
+    is built per delivered path per round.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: float, path: Path):
+        if not math.isfinite(value):
+            raise MessageError(f"non-finite message value {value}")
+        return tuple.__new__(cls, (value, path))
+
+    @classmethod
+    def _make(cls, iterable):
+        # The namedtuple default skips __new__; _replace goes through here.
+        return cls(*iterable)
 
     @property
     def source(self) -> int:
@@ -46,9 +58,10 @@ class AdversaryHook(Protocol):
     """Per-node behavior plugged into relay_round for adversarial nodes.
 
     ``emit`` must be a pure function of (k, receiver), and ``relay`` of
-    (value, k, receiver): relay_round calls ``emit`` once per (source,
-    receiver) in a round and reuses the value for every path starting
-    with that hop. ``AttackScript`` satisfies this.
+    (value, k, receiver): within a round relay_round calls ``emit`` once per
+    (source, receiver) and ``relay`` once per (relay node, receiver, value),
+    and reuses the result for every path taking that hop with that value.
+    ``AttackScript`` satisfies this.
     """
 
     def emit(self, k: int, receiver: int) -> float: ...
@@ -78,13 +91,15 @@ def relay_round(
     # Only a path through an adversary (destination aside) can be tampered.
     adv = nodes_bit(hooks)
     emitted: dict[tuple[int, int], float] = {}
+    relayed: dict[tuple[int, int, float, float], float] = {}
     out: dict[int, tuple[Message, ...]] = {}
     for i in g.nodes:
         msgs = []
+        append = msgs.append
         for p in (paths[i] if paths is not None else all_paths_into(g, i, l)):
             nodes = p.nodes
             if not p.mask & adv:
-                msgs.append(Message(senders[nodes[0]], p))
+                append(Message(senders[nodes[0]], p))
                 continue
             hook = hooks.get(nodes[0])
             if hook is None:
@@ -97,8 +112,12 @@ def relay_round(
             for pos in range(1, len(nodes) - 1):
                 relay_hook = hooks.get(nodes[pos])
                 if relay_hook is not None:
-                    value = relay_hook.relay(value, k, nodes[pos + 1])
-            msgs.append(Message(value, p))
+                    # 0.0 == -0.0 as a key; the sign term keeps them apart.
+                    rkey = (nodes[pos], nodes[pos + 1], value, math.copysign(1.0, value))
+                    if rkey not in relayed:
+                        relayed[rkey] = relay_hook.relay(value, k, nodes[pos + 1])
+                    value = relayed[rkey]
+            append(Message(value, p))
         out[i] = tuple(msgs)
     return out
 

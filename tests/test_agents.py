@@ -82,6 +82,33 @@ class TestTrim:
         with pytest.raises(MessageError):
             mw_msr_trim(s, 1.0, 1)
 
+    def test_self_message_position_does_not_matter(self):
+        others = [
+            Message(5.0, Path((1, 3, 9))),
+            Message(-2.0, Path((2, 9))),
+            Message(4.0, Path((2, 3, 9))),
+            Message(1.0, Path((4, 9))),
+            Message(-3.0, Path((5, 9))),
+        ]
+        own = Message(0.5, Path((9,)))
+        results = []
+        for pos in (0, 2, len(others)):
+            s = tuple(others[:pos] + [own] + others[pos:])
+            retained = mw_msr_trim(s, 0.5, 1)
+            assert own in retained
+            results.append([m for m in retained if m is not own])
+        assert results[0] == results[1] == results[2]
+        assert [m.value for m in results[0]] == [-2.0, 1.0]
+        with pytest.raises(MessageError):
+            mw_msr_trim(tuple(others), 0.5, 1)
+
+    def test_nothing_trimmed_returns_given_tuple(self):
+        s = one_hop_set(2.0, [(1, 1.0), (2, 3.0)])
+        assert mw_msr_trim(s, 2.0, 0) is s
+        level = one_hop_set(2.0, [(1, 2.0), (2, 2.0)])
+        assert mw_msr_trim(level, 2.0, 2) is level
+        assert mw_msr_trim(s, 2.0, 1) == (s[2],)
+
     def test_self_message_always_retained(self):
         s = one_hop_set(9.0, [(i, float(i)) for i in range(1, 6)])
         retained = mw_msr_trim(s, 9.0, 2)

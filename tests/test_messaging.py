@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -76,10 +77,43 @@ def random_script(rng, node, n, honest):
     return AttackScript(node, Waveform(100.0 + node), groups, relay_mode=mode)
 
 
+class RecordingHook(ConstHook):
+    """Identity relay that records each (value, receiver) it relays."""
+
+    def __init__(self, emit_value):
+        super().__init__(emit_value)
+        self.relays = []
+
+    def relay(self, value, k, receiver):
+        self.relays.append((value, receiver))
+        return value
+
+
 class TestMessageTypes:
     def test_rejects_non_finite(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(MessageError):
+                Message(bad, Path((1, 2)))
+
+    def test_immutable(self):
+        m = Message(1.0, Path((1, 2)))
+        with pytest.raises(AttributeError):
+            m.value = 2.0
+        with pytest.raises(AttributeError):
+            m.path = Path((3, 2))
+        assert m == Message(1.0, Path((1, 2)))
+
+    def test_equal_messages_hash_equal(self):
+        a, b = Message(1.5, Path((1, 3, 2))), Message(1.5, Path((1, 3, 2)))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Message(1.5, Path((3, 2)))}) == 2
+        assert (a.source, a.destination) == (1, 2)
+
+    def test_replace_keeps_finiteness_check(self):
+        m = Message(1.0, Path((1, 2)))
+        assert m._replace(value=3.0) == Message(3.0, Path((1, 2)))
         with pytest.raises(MessageError):
-            Message(float("nan"), Path((1, 2)))
+            m._replace(value=float("nan"))
 
 
 class TestRelayRound:
@@ -144,6 +178,28 @@ class TestRelayRound:
         out = relay_round(g, {i: 0.0 for i in g.nodes}, l=3, hooks={1: hook})
         assert sorted(hook.emits) == [2, 3]
         assert {m.value for msgs in out.values() for m in msgs if m.source == 1} == {5.0}
+
+    def test_relay_called_once_per_node_receiver_and_value(self):
+        # Sources 1 and 2 send 1.0, source 5 sends 2.0, all through relay 3.
+        g = DiGraph.from_edges(6, [(1, 3), (2, 3), (5, 3), (3, 4), (3, 6), (4, 6)])
+        hook = RecordingHook(7.0)
+        senders = {1: 1.0, 2: 1.0, 3: 0.0, 4: 0.0, 5: 2.0, 6: 0.0}
+        out = relay_round(g, senders, l=3, hooks={3: hook})
+        assert sorted(hook.relays) == [(1.0, 4), (1.0, 6), (2.0, 4), (2.0, 6)]
+        want = walk_relay_round(g, senders, 3, 0, {3: ConstHook(7.0)})
+        for i in g.nodes:
+            assert [(m.path.nodes, m.value) for m in out[i]] == want[i]
+
+    def test_identity_relay_keeps_the_sign_of_zero(self):
+        # 0.0 == -0.0, yet an identity relay must deliver each one unchanged.
+        g = DiGraph.from_edges(4, [(1, 3), (2, 3), (3, 4)])
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            hook = AttackScript(3, Waveform.constant(5.0), relay_mode="identity")
+            senders = {1: first, 2: second, 3: 0.0, 4: 0.0}
+            out = relay_round(g, senders, l=2, hooks={3: hook})
+            signs = {m.path.nodes: math.copysign(1.0, m.value) for m in out[4]}
+            assert signs[(1, 3, 4)] == math.copysign(1.0, first)
+            assert signs[(2, 3, 4)] == math.copysign(1.0, second)
 
 
 class TestMinimumMessageCover:
