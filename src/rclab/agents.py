@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .messaging import Message, MessageError, mmc_cardinality
+from .messaging import Message, MessageError, coverable_prefix, mmc_cardinality
 
 
 class AgentError(ValueError):
@@ -81,31 +81,20 @@ def _trim_side(side: list[Message], f: int) -> list[Message]:
     """Longest prefix of the value-ordered side explainable by <= f nodes.
 
     The side list must already be sorted most-extreme-first (stable). Returns
-    the removed messages. If even the whole side has cover cardinality <= f
-    it is removed entirely. Coverability is monotone in the prefix length,
-    so the longest coverable prefix is found by binary search.
+    the removed messages: the whole side if <= f nodes explain all of it.
     """
     if f == 0 or not side:
         return []
-    if mmc_cardinality(side, f) <= f:
-        return side
-    # side[:lo] has cover cardinality lo_card <= f; side[:hi] exceeds f. A
-    # single message is always explained by its source.
-    lo, lo_card, hi = 1, 1, len(side)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        card = mmc_cardinality(side[:mid], f)
-        if card <= f:
-            lo, lo_card = mid, card
-        else:
-            hi = mid
-    # A single extra message can raise the cover optimum by at most one, so
-    # a maximal prefix short of the whole side must sit exactly at f.
-    if lo_card != f:
+    p = coverable_prefix(side, f)
+    # One extra message raises the cover optimum by at most one, so a
+    # maximal prefix short of the whole side needs exactly f nodes. The
+    # search found at most f; fewer than f must not suffice, which any
+    # nonempty prefix meets for f = 1.
+    if f > 1 and p < len(side) and mmc_cardinality(side[:p], f - 1) != f:
         raise AgentError(
-            f"trim invariant violated: maximal prefix has cover {lo_card}, expected {f}"
+            f"trim invariant violated: maximal prefix of {p} messages has cover below {f}"
         )
-    return side[:lo]
+    return side[:p]
 
 
 def mw_msr_trim(ms: tuple[Message, ...], own: float, f: int) -> tuple[Message, ...]:

@@ -308,12 +308,17 @@ def convergence_report(trace: Trace, tol: float, window: int) -> ConvergenceRepo
         )
 
     last = segments[-1]
+    # A run that ends before the last reference step has not tracked it.
+    reached = last.start == trace.reference.pieces[-1][0]
+    converged = reached and last.converged
     final_res = trace.residual[-1]
     vel = None
     if trace.second_order:
         vel = max((abs(trace.v[-1][i]) for i in trace.normal_followers), default=0.0)
-    if last.converged:
+    if converged:
         classification = "converged"
+    elif not reached:
+        classification = "budget-exhausted"
     else:
         plateau = False
         if rounds > window:
@@ -321,8 +326,8 @@ def convergence_report(trace: Trace, tol: float, window: int) -> ConvergenceRepo
             plateau = abs(v_now - v_then) <= 1e-12 * max(abs(v_then), 1.0)
         classification = "stalled" if plateau else "budget-exhausted"
     return ConvergenceReport(
-        converged=last.converged,
-        round_of_convergence=last.round_of_convergence,
+        converged=converged,
+        round_of_convergence=last.round_of_convergence if converged else None,
         residual=final_res,
         velocity_residual=vel,
         classification=classification,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import Mapping, NamedTuple, Protocol, Sequence
 
 from .graphs import DiGraph, Path, all_paths_into, bit_nodes, nodes_bit
@@ -131,29 +130,36 @@ def _path_candidate_masks(messages: Sequence[Message]) -> list[int]:
     return masks
 
 
-def _cover_within(masks: Sequence[int], k: int, chosen: int = 0, start: int = 0) -> int | None:
-    """A node mask of at most k nodes beyond ``chosen`` hitting every mask, or None.
+def _hit_prefix(masks: Sequence[int], k: int, chosen: int = 0, start: int = 0) -> tuple[int, int]:
+    """(p, mask): the longest prefix masks[:p] that at most k nodes beyond
+    ``chosen`` hit, and a node mask hitting it.
 
     Bounded search tree for d-hitting set (Downey & Fellows): branch on the
-    nodes of the first mask not yet hit, to depth k. Masks before ``start``
-    are already hit by ``chosen``. With masks of at most l nodes the tree
-    has at most l^k leaves, each reached by one O(m) scan.
+    nodes of the first mask not yet hit, to depth k, keep the longest prefix
+    over the leaves, and stop once one hits every mask. Any set hitting a
+    longer prefix holds a node of that first unhit mask, so some branch
+    reaches the longest. Masks before ``start`` are already hit by
+    ``chosen``. With masks of at most l nodes the tree has at most l^k
+    leaves, each reached by one O(m) scan.
     """
     for idx in range(start, len(masks)):
         if not masks[idx] & chosen:
             break
     else:
-        return chosen
-    if k == 0:
-        return None
+        return len(masks), chosen
+    best = (idx, chosen)
+    if k <= 0:
+        return best
     rest = masks[idx]
     while rest:
         low = rest & -rest
-        found = _cover_within(masks, k - 1, chosen | low, idx + 1)
-        if found is not None:
-            return found
+        found = _hit_prefix(masks, k - 1, chosen | low, idx + 1)
+        if found[0] > best[0]:
+            if found[0] == len(masks):
+                return found
+            best = found
         rest ^= low
-    return None
+    return best
 
 
 def _nonempty(messages: Sequence[Message], who: str) -> Sequence[Message]:
@@ -171,30 +177,26 @@ def minimum_message_cover(ms: Sequence[Message]) -> tuple[frozenset[int], int]:
     """
     masks = _path_candidate_masks(_nonempty(ms, "minimum_message_cover"))
     size = 1
-    while (mask := _cover_within(masks, size)) is None:
+    while (found := _hit_prefix(masks, size))[0] < len(masks):
         size += 1
-    return frozenset(bit_nodes(mask)), size
+    return frozenset(bit_nodes(found[1])), size
 
 
 def mmc_cardinality(messages: Sequence[Message], cap: int) -> int:
-    """min(minimum cover cardinality, cap + 1), as the trimming rule asks.
-
-    The answer depends only on the set of path masks, so it is cached on
-    that set (see ``_mask_cardinality``).
+    """min(minimum cover cardinality, cap + 1): iterative deepening over the
+    bounded search tree up to depth cap, O(m * l^c) for c = min(cover, cap + 1).
     """
     masks = _path_candidate_masks(_nonempty(messages, "mmc_cardinality"))
-    return _mask_cardinality(tuple(sorted(set(masks))), cap)
-
-
-@lru_cache(maxsize=4096)
-def _mask_cardinality(masks: tuple[int, ...], cap: int) -> int:
-    """Iterative deepening over the bounded search tree up to depth cap:
-    O(m * l^c) for m masks of at most l nodes and c = min(cover, cap + 1).
-    """
     for size in range(1, cap + 1):
-        if _cover_within(masks, size) is not None:
+        if _hit_prefix(masks, size)[0] == len(masks):
             return size
     return cap + 1
+
+
+def coverable_prefix(messages: Sequence[Message], k: int) -> int:
+    """Length of the longest prefix of ``messages`` whose paths at most k
+    nodes hit (destination excluded), by one bounded search."""
+    return _hit_prefix(_path_candidate_masks(messages), k)[0]
 
 
 def mmc_brute_force_oracle(ms: Sequence[Message]) -> int:

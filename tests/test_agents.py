@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from rclab import agents
 from rclab.agents import (
     _trim_side,
     AgentError,
@@ -178,14 +179,22 @@ class TestTrim:
 
         rng = random.Random(5)
         for _ in range(300):
-            f = rng.randint(1, 2)
+            f = rng.randint(1, 3)
             side = []
-            for _ in range(rng.randint(1, 9)):
+            for _ in range(rng.randint(1, 12)):
                 relays = rng.sample(range(1, 8), rng.randint(0, 2))
                 path = (rng.randint(1, 7), *relays, 9)
                 if len(set(path)) == len(path):
                     side.append(Message(rng.uniform(-3, 3), Path(path)))
             assert _trim_side(side, f) == linear_scan(side, f)
+
+    def test_trim_invariant_can_fail(self, monkeypatch):
+        side = [Message(3.0, Path((1, 9))), Message(2.0, Path((2, 9))), Message(1.0, Path((3, 9)))]
+        assert _trim_side(side, 2) == side[:2]
+        real = agents.coverable_prefix
+        monkeypatch.setattr(agents, "coverable_prefix", lambda s, f: real(s, f) - 1)
+        with pytest.raises(AgentError):
+            _trim_side(side, 2)
 
 
 class TestUpdate:

@@ -146,6 +146,15 @@ class TestConvergenceReport:
         result = run(sc)
         assert result.reports[0].round_of_convergence == 0
 
+    def test_run_cut_before_last_step_is_not_converged(self):
+        ref = ReferenceFunction(((0, 1.0), (300, 2.0)))
+        trace = run(make_scenario(reference=ref, max_rounds=200)).traces[0]
+        report = convergence_report(trace, 1e-9, 5)
+        assert [seg.converged for seg in report.segments] == [True]
+        assert not report.converged
+        assert report.round_of_convergence is None
+        assert report.classification == "budget-exhausted"
+
     def test_rejects_bad_tolerance(self):
         trace = run(make_scenario()).traces[0]
         with pytest.raises(EngineError):

@@ -9,6 +9,7 @@ from rclab.graphs import DiGraph, Path, all_paths_into
 from rclab.messaging import (
     Message,
     MessageError,
+    coverable_prefix,
     minimum_message_cover,
     mmc_brute_force_oracle,
     mmc_cardinality,
@@ -279,6 +280,38 @@ class TestMinimumMessageCover:
             mmc_cardinality(s + (Message(0.0, Path((2,))),), 2)
         with pytest.raises(MessageError):
             mmc_cardinality((), 2)
+
+    def test_coverable_prefix_matches_oracle(self):
+        rng = random.Random(17)
+        short = 0
+        for _ in range(200):
+            side = []
+            for _ in range(rng.randint(1, 10)):
+                relays = rng.sample(range(1, 8), rng.randint(0, 2))
+                path = (rng.randint(1, 7), *relays, 9)
+                if len(set(path)) == len(path):
+                    side.append(Message(rng.uniform(-3, 3), Path(path)))
+            for k in (1, 2, 3):
+                longest = max(
+                    (p for p in range(1, len(side) + 1)
+                     if mmc_brute_force_oracle(side[:p]) <= k),
+                    default=0,
+                )
+                assert coverable_prefix(side, k) == longest
+                short += longest < len(side)
+        assert short > 100
+
+    def test_coverable_prefix_is_not_the_first_leaf(self):
+        # Branching on node 1 first hits one message; node 2 hits two.
+        side = ms((3.0, (1, 2, 9)), (2.0, (2, 9)), (1.0, (3, 9)))
+        assert coverable_prefix(side, 1) == 2
+        assert coverable_prefix(side, 2) == 3
+
+    def test_coverable_prefix_edges(self):
+        assert coverable_prefix((), 2) == 0
+        assert coverable_prefix(ms((1.0, (1, 2))), 0) == 0
+        with pytest.raises(MessageError):
+            coverable_prefix(ms((1.0, (1, 2)), (0.0, (2,))), 2)
 
     def test_oracle_refuses_large_universe(self):
         paths = [(i, i + 1, 25) for i in range(1, 24, 2)]

@@ -310,6 +310,13 @@ class TestCli:
         assert res.exit_code == 3
         assert "converged: False" in res.output
 
+    def test_simulate_cut_before_last_step_exit_3(self):
+        # fig5_staircase steps to 3.0 at round 400, which 260 rounds never reach.
+        res = self.invoke("simulate", "--scenario", "fig5_staircase",
+                          "--max-rounds", "260", "--summary")
+        assert res.exit_code == 3
+        assert "classification: budget-exhausted" in res.output
+
     def test_max_rounds_caps_file_budget(self, tmp_path):
         p = tmp_path / "capped.yaml"
         p.write_text(corpus_path("fig4a_1hop").read_text() + "\nbudget: 300\n")
