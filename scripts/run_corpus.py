@@ -5,11 +5,13 @@ Each scenario line carries its fingerprint and wall time. Each axis line
 carries max_msgset and a SHA-256 per per-round trace series: x (and v), V,
 V_hat, residual and retained_mean, every value as repr. Two checkouts give
 bit-identical traces exactly when their printed lines match (wall times
-aside). Pass --out-dir to also write per-axis trace and message CSV files.
+aside). Pass --out-dir to also write per-axis trace and message CSV files;
+each axis line then also carries the SHA-256 of both files.
 """
 
 import argparse
 import hashlib
+from pathlib import Path
 from time import perf_counter
 
 from rclab.engine import run
@@ -60,9 +62,12 @@ def main():
         for axis, report in enumerate(result.reports):
             tag = f"{name}[{axis}]" if scenario.axes > 1 else name
             trace = result.traces[axis]
-            digests = " ".join(
-                f"{key}={d[:16]}" for key, d in trace_digests(trace).items()
-            )
+            digests = trace_digests(trace)
+            if args.out_dir is not None:
+                for kind in ("trace", "messages"):
+                    csv_path = Path(args.out_dir) / f"{scenario.name}_axis{axis}_{kind}.csv"
+                    digests[f"{kind}.csv"] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+            digests = " ".join(f"{key}={d[:16]}" for key, d in digests.items())
             print(
                 f"{tag:35s} {report.classification:17s} "
                 f"residual={report.residual:.2e} rounds={trace.rounds} "

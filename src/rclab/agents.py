@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .messaging import Message, MessageError, coverable_prefix, mmc_cardinality
+from .messaging import Message, MessageError, _hit_prefix, mmc_cardinality
 
 
 class AgentError(ValueError):
@@ -83,9 +83,12 @@ def _trim_side(side: list[Message], f: int) -> list[Message]:
     The side list must already be sorted most-extreme-first (stable). Returns
     the removed messages: the whole side if <= f nodes explain all of it.
     """
-    if f == 0 or not side:
-        return []
-    p = coverable_prefix(side, f)
+    if len(side) <= f:
+        # One node of each path hits them all.
+        return side
+    # mw_msr_trim sets the self-message (mask 0) aside, so every mask is
+    # nonzero and goes to the bounded search as it is.
+    p = _hit_prefix([m.path.mask for m in side], f)[0]
     # One extra message raises the cover optimum by at most one, so a
     # maximal prefix short of the whole side needs exactly f nodes. The
     # search found at most f; fewer than f must not suffice, which any

@@ -8,7 +8,6 @@ average, and the error envelopes are recorded.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path as FsPath
@@ -119,21 +118,37 @@ def _paths_for(g: DiGraph, l: int):
 
 
 class _MessageLog:
-    """Optional streaming sink for per-round delivered messages."""
+    """Optional streaming sink for per-round delivered messages.
+
+    Rows are csv excel-dialect text (CRLF line ends); no field ever needs
+    quoting. Each path's ``src,dst,path,`` head is built once, each sender's
+    value repr once per round, and each round is one write.
+    """
 
     def __init__(self, fh):
-        self.writer = csv.writer(fh)
-        self.writer.writerow(["round", "src", "dst", "path", "value", "tampered"])
+        self.fh = fh
+        self.heads: dict[tuple[int, ...], str] = {}
+        fh.write("round,src,dst,path,value,tampered\r\n")
 
     def record(self, k, delivered, senders, adversaries):
+        heads = self.heads
+        # The untouched honest value is the sender's own float object; an
+        # equal value may be another object, e.g. -0.0 for 0.0.
+        honest = {j: f"{v!r},0\r\n" for j, v in senders.items() if j not in adversaries}
+        rows = []
         for i in sorted(delivered):
-            for m in delivered[i]:
-                nodes = m.path.nodes
+            for value, p in delivered[i]:
+                nodes = p.nodes
+                head = heads.get(nodes)
+                if head is None:
+                    head = heads[nodes] = f"{nodes[0]},{i},{'-'.join(map(str, nodes))},"
                 src = nodes[0]
-                tampered = src in adversaries or m.value != senders[src]
-                self.writer.writerow(
-                    [k, src, i, "-".join(map(str, nodes)), repr(m.value), int(tampered)]
-                )
+                if value is senders[src] and src in honest:
+                    rows.append(f"{k},{head}{honest[src]}")
+                else:
+                    tampered = src in adversaries or value != senders[src]
+                    rows.append(f"{k},{head}{value!r},{int(tampered)}\r\n")
+        self.fh.write("".join(rows))
 
 
 def _initial_axis_state(scenario: Scenario, axis: int):
@@ -419,26 +434,26 @@ def two_step_identity_deviation(trace: Trace) -> float:
 
 
 def write_trace_csv(trace: Trace, path: FsPath | str) -> None:
+    """One row per (round, node), as csv excel-dialect text (CRLF line
+    ends; no field needs quoting), one write per round."""
+    second = trace.second_order
+    heads = []
+    for i in range(1, trace.n + 1):
+        if i in trace.adversaries:
+            role = "adversary"
+        elif i in trace.leaders:
+            role = "leader"
+        else:
+            role = "follower"
+        heads.append((i, f",{i},{role},"))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["round", "node", "role", "x"]
-        if trace.second_order:
-            header.append("v")
-        header += ["V", "V_hat"]
-        writer.writerow(header)
+        fh.write(f"round,node,role,x,{'v,' if second else ''}V,V_hat\r\n")
         for k in range(trace.rounds):
-            for i in range(1, trace.n + 1):
-                if i in trace.adversaries:
-                    role = "adversary"
-                elif i in trace.leaders:
-                    role = "leader"
-                else:
-                    role = "follower"
-                row = [k, i, role, repr(trace.x[k][i])]
-                if trace.second_order:
-                    row.append(repr(trace.v[k][i]))
-                row += [
-                    repr(trace.V[k]),
-                    repr(trace.V_hat[k]) if trace.second_order else "",
-                ]
-                writer.writerow(row)
+            x = trace.x[k]
+            if second:
+                v = trace.v[k]
+                tail = f",{trace.V[k]!r},{trace.V_hat[k]!r}\r\n"
+                fh.write("".join(f"{k}{head}{x[i]!r},{v[i]!r}{tail}" for i, head in heads))
+            else:
+                tail = f",{trace.V[k]!r},\r\n"
+                fh.write("".join(f"{k}{head}{x[i]!r}{tail}" for i, head in heads))

@@ -191,8 +191,8 @@ class TestTrim:
     def test_trim_invariant_can_fail(self, monkeypatch):
         side = [Message(3.0, Path((1, 9))), Message(2.0, Path((2, 9))), Message(1.0, Path((3, 9)))]
         assert _trim_side(side, 2) == side[:2]
-        real = agents.coverable_prefix
-        monkeypatch.setattr(agents, "coverable_prefix", lambda s, f: real(s, f) - 1)
+        real = agents._hit_prefix
+        monkeypatch.setattr(agents, "_hit_prefix", lambda masks, k: (real(masks, k)[0] - 1, 0))
         with pytest.raises(AgentError):
             _trim_side(side, 2)
 

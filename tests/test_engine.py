@@ -1,4 +1,5 @@
 import csv
+import io
 
 import pytest
 
@@ -6,15 +7,20 @@ from rclab.adversary import AttackScript, Waveform, necessity_attack
 from rclab.agents import ReferenceFunction
 from rclab.engine import (
     EngineError,
+    _MessageLog,
     contraction_oracle,
     convergence_report,
     envelope_nesting_holds,
     run,
+    run_axis,
     write_trace_csv,
 )
-from rclab.graphs import DiGraph, TopologySchedule
+from rclab.graphs import DiGraph, Path, TopologySchedule
+from rclab.messaging import Message
 from rclab.robustness import RobustnessQuery, is_jointly_robust_following
 from rclab.scenario import Scenario
+
+from conftest import scenario as corpus_scenario
 
 
 def complete_graph(n):
@@ -291,3 +297,112 @@ class TestTraceOutput:
         tam_idx = header.index("tampered")
         assert any(r[src_idx] == "5" and r[tam_idx] == "1" for r in body)
         assert all(r[tam_idx] == "0" for r in body if r[src_idx] != "5")
+
+
+# Reference writers: the csv.writer implementations the engine's writers
+# must match byte for byte.
+
+
+class ReferenceMessageLog:
+    def __init__(self, fh):
+        self.writer = csv.writer(fh)
+        self.writer.writerow(["round", "src", "dst", "path", "value", "tampered"])
+
+    def record(self, k, delivered, senders, adversaries):
+        for i in sorted(delivered):
+            for m in delivered[i]:
+                nodes = m.path.nodes
+                src = nodes[0]
+                tampered = src in adversaries or m.value != senders[src]
+                self.writer.writerow(
+                    [k, src, i, "-".join(map(str, nodes)), repr(m.value), int(tampered)]
+                )
+
+
+def reference_write_trace_csv(trace, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["round", "node", "role", "x"]
+        if trace.second_order:
+            header.append("v")
+        header += ["V", "V_hat"]
+        writer.writerow(header)
+        for k in range(trace.rounds):
+            for i in range(1, trace.n + 1):
+                if i in trace.adversaries:
+                    role = "adversary"
+                elif i in trace.leaders:
+                    role = "leader"
+                else:
+                    role = "follower"
+                row = [k, i, role, repr(trace.x[k][i])]
+                if trace.second_order:
+                    row.append(repr(trace.v[k][i]))
+                row += [
+                    repr(trace.V[k]),
+                    repr(trace.V_hat[k]) if trace.second_order else "",
+                ]
+                writer.writerow(row)
+
+
+class _Tee:
+    def __init__(self, *logs):
+        self.logs = logs
+
+    def record(self, *args):
+        for log in self.logs:
+            log.record(*args)
+
+
+class TestWritersMatchReference:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "fig4a_1hop",  # first order
+            "fig7b_2hop_second_order",  # v and V_hat columns
+            "fig4b_3hop",  # adversaries, tampered rows
+            "secure_leader",  # induced exchange graph
+        ],
+    )
+    def test_bytes_equal(self, name, tmp_path):
+        sc = corpus_scenario(name)
+        sc.validate()
+        for axis in range(sc.axes):
+            paths = {
+                kind: tmp_path / f"{kind}{axis}.csv"
+                for kind in ("messages", "ref_messages", "trace", "ref_trace")
+            }
+            with open(paths["messages"], "w", newline="") as fh, open(
+                paths["ref_messages"], "w", newline=""
+            ) as ref_fh:
+                trace = run_axis(sc, axis, _Tee(_MessageLog(fh), ReferenceMessageLog(ref_fh)))
+            write_trace_csv(trace, paths["trace"])
+            reference_write_trace_csv(trace, paths["ref_trace"])
+            for kind in ("messages", "trace"):
+                got = paths[kind].read_bytes()
+                assert got == paths[f"ref_{kind}"].read_bytes()
+                assert got.count(b"\r\n") > trace.rounds
+
+
+class TestMessageLogValues:
+    def test_signed_zero_and_equal_values(self):
+        sender = 0.1
+        equal = float(repr(sender))
+        assert equal == sender and equal is not sender
+        senders = {1: 0.0, 2: 5.0, 3: sender, 4: 2.5}
+        delivered = {
+            5: (
+                Message(-0.0, Path((1, 5))),  # equal to the sender's 0.0, but signed
+                Message(equal, Path((3, 5))),  # equal value, another float object
+                Message(senders[4], Path((4, 2, 5))),  # adversary's own value object
+            )
+        }
+        fh = io.StringIO(newline="")
+        _MessageLog(fh).record(7, delivered, senders, frozenset({4}))
+        assert fh.getvalue().split("\r\n") == [
+            "round,src,dst,path,value,tampered",
+            "7,1,5,1-5,-0.0,0",
+            "7,3,5,3-5,0.1,0",
+            "7,4,5,4-2-5,2.5,1",
+            "",
+        ]
