@@ -2,8 +2,8 @@
 """Run every shipped scenario and print its convergence report.
 
 Each scenario line carries its fingerprint and wall time. Each axis line
-carries max_msgset and a SHA-256 per per-round trace series: x (and v), V,
-V_hat, residual and retained_mean, every value as repr. Two checkouts give
+carries a SHA-256 per per-round trace series: x (and v), V, V_hat, residual
+and retained_mean, every value as repr. Two checkouts give
 bit-identical traces exactly when their printed lines match (wall times
 aside). Pass --out-dir to also write per-axis trace and message CSV files;
 each axis line then also carries the SHA-256 of both files.
@@ -70,8 +70,7 @@ def main():
             digests = " ".join(f"{key}={d[:16]}" for key, d in digests.items())
             print(
                 f"{tag:35s} {report.classification:17s} "
-                f"residual={report.residual:.2e} rounds={trace.rounds} "
-                f"max_msgset={trace.max_msgset} {digests}"
+                f"residual={report.residual:.2e} rounds={trace.rounds} {digests}"
             )
         print(
             f"{name:35s} fingerprint={scenario.fingerprint()} "

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .messaging import Message, MessageError, _hit_prefix, mmc_cardinality
+from .messaging import Message, _hit_prefix, mmc_cardinality
 
 
 class AgentError(ValueError):
@@ -77,17 +78,15 @@ class ControlParams:
             )
 
 
-def _trim_side(side: list[Message], f: int) -> list[Message]:
-    """Longest prefix of the value-ordered side explainable by <= f nodes.
-
-    The side list must already be sorted most-extreme-first (stable). Returns
-    the removed messages: the whole side if <= f nodes explain all of it.
+def _trim_side(side: list[Message], f: int, upper: bool) -> list[Message]:
+    """The messages removed from one side: the longest prefix of the side,
+    most extreme value first (stable), that <= f nodes explain. The whole
+    side goes if <= f nodes explain all of it.
     """
     if len(side) <= f:
-        # One node of each path hits them all.
+        # One node of each path hits them all, in any order.
         return side
-    # mw_msr_trim sets the self-message (mask 0) aside, so every mask is
-    # nonzero and goes to the bounded search as it is.
+    side.sort(key=attrgetter("value"), reverse=upper)
     p = _hit_prefix([m.path.mask for m in side], f)[0]
     # One extra message raises the cover optimum by at most one, so a
     # maximal prefix short of the whole side needs exactly f nodes. The
@@ -101,39 +100,36 @@ def _trim_side(side: list[Message], f: int) -> list[Message]:
 
 
 def mw_msr_trim(ms: tuple[Message, ...], own: float, f: int) -> tuple[Message, ...]:
-    """Remove extreme values: the largest (resp. smallest) received values
+    """Remove extreme received values: the largest (resp. smallest) values
     strictly above (below) own, as long as one set of <= f nodes could have
-    produced them. The self-message is always retained, and the retained
-    messages are the given objects, in the given order; if none is removed,
-    ``ms`` itself is returned."""
+    produced them. ``ms`` holds the received messages only; own value is
+    never trimmed. The retained messages are the given objects, in the given
+    order; if none is removed, ``ms`` itself is returned."""
     if f < 0:
         raise AgentError(f"trim parameter must be >= 0, got {f}")
-    has_self = False
     upper, lower = [], []
     for m in ms:
-        # A path's mask is 0 only for the self-path (no node but the destination).
-        if not m.path.mask:
-            has_self = True
-        elif m.value > own:
+        if m.value > own:
             upper.append(m)
         elif m.value < own:
             lower.append(m)
-    if not has_self:
-        raise MessageError("message set must contain the self-message")
-    upper.sort(key=lambda m: -m.value)
-    lower.sort(key=lambda m: m.value)
-    removed = {id(m) for m in _trim_side(upper, f)}
-    removed.update(id(m) for m in _trim_side(lower, f))
+    removed = {id(m) for m in _trim_side(upper, f, True)}
+    removed.update(id(m) for m in _trim_side(lower, f, False))
     if not removed:
         return ms
     return tuple(m for m in ms if id(m) not in removed)
 
 
-def mw_msr_update(retained: tuple[Message, ...]) -> float:
-    """Uniformly weighted average of the retained values."""
-    if not retained:
-        raise AgentError("retained message set is empty")
-    return math.fsum(m.value for m in retained) / len(retained)
+def mw_msr_update(retained: tuple[Message, ...], own: float) -> float:
+    """Uniformly weighted average of own value and the retained received
+    values."""
+    if not math.isfinite(own):
+        raise AgentError(f"non-finite own value {own}")
+    try:
+        total = math.fsum([own, *(m.value for m in retained)])
+    except OverflowError:
+        raise AgentError("retained values overflow their sum") from None
+    return total / (len(retained) + 1)
 
 
 def mdp_msr_control(mean: float, x: float, v: float, p: ControlParams) -> float:

@@ -20,8 +20,8 @@ from .agents import (
     mw_msr_update,
     second_order_step,
 )
-from .graphs import DiGraph, Path, all_paths_into
-from .messaging import Message, relay_round
+from .graphs import DiGraph, all_paths_into
+from .messaging import relay_round
 from .scenario import Scenario
 
 
@@ -54,7 +54,6 @@ class Trace:
     V: list[float] = field(default_factory=list)
     V_hat: list[float] = field(default_factory=list)
     residual: list[float] = field(default_factory=list)
-    max_msgset: int = 1
 
     @property
     def rounds(self) -> int:
@@ -201,7 +200,6 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
         exchange = schedule.induced(scenario.followers)
     anchor_followers = anchors & normal_followers
     trimming = normal_followers - anchors
-    self_paths = {i: Path((i,)) for i in trimming}
 
     x, v = _initial_axis_state(scenario, axis)
     trace = Trace(
@@ -228,10 +226,11 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
         lo, hi = _envelope(x, metric_nodes)
         r_now = ref.value_at(k)
         res = max((abs(x[i] - r_now) for i in normal_followers), default=0.0)
-        trace.x.append(dict(x))
+        # x and v are replaced, never mutated, once recorded.
+        trace.x.append(x)
         trace.V.append(hi - lo)
         if second:
-            trace.v.append(dict(v))
+            trace.v.append(v)
             trace.V_hat.append(max(hi, prev_hi) - min(lo, prev_lo))
             prev_lo, prev_hi = lo, hi
             res = max(res, max((abs(v[i]) for i in normal_followers), default=0.0))
@@ -254,9 +253,7 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
         means = {i: x[i] for i in anchor_followers}
         next_x, next_v = dict(x), dict(v)
         for i in trimming:
-            ms = delivered[i] + (Message(x[i], self_paths[i]),)
-            trace.max_msgset = max(trace.max_msgset, len(ms))
-            means[i] = mw_msr_update(mw_msr_trim(ms, x[i], scenario.f))
+            means[i] = mw_msr_update(mw_msr_trim(delivered[i], x[i], scenario.f), x[i])
             if second:
                 u = mdp_msr_control(means[i], x[i], v[i], scenario.params)
                 next_x[i], next_v[i] = second_order_step(x[i], v[i], u, scenario.params.T)
@@ -379,34 +376,21 @@ def envelope_nesting_holds(trace: Trace) -> bool:
 
 
 def contraction_oracle(trace: Trace, k1: int | None = None) -> bool:
-    """Geometric decay of the consensus error at contraction-period samples.
-
-    Uses the weight lower bound alpha = 1/(max message-set size) for
-    first-order traces and the two-step coefficient bound (T^2/2) * alpha
-    for second-order ones.
+    """Contraction of the consensus error over every contraction period:
+    from round k1 (after the last reference step by default), the envelope
+    V (V_hat for second-order traces) sampled every (w + 1) * K rounds
+    strictly decreases from one sample to the next while it is above 0.
     """
-    w = len(trace.normal_followers)
-    period = (w + 1) * trace.K
-    alpha = 1.0 / trace.max_msgset
-    if trace.second_order:
-        alpha *= trace.params.T ** 2 / 2
-        series = trace.V_hat
-    else:
-        series = trace.V
+    period = (len(trace.normal_followers) + 1) * trace.K
+    series = trace.V_hat if trace.second_order else trace.V
     if k1 is None:
         k1 = trace.reference.pieces[-1][0]
         if k1 > 0:
             k1 += 1  # leaders adopt a step change one round later
         elif trace.second_order:
             k1 = 1  # the two-step envelope needs a predecessor round
-    rate = 1.0 - alpha**period
-    v1 = series[k1]
-    delta = 0
-    while k1 + (delta + 1) * period < trace.rounds:
-        delta += 1
-        if series[k1 + delta * period] > rate**delta * v1:
-            return False
-    return True
+    samples = series[k1::period]
+    return all(b < a for a, b in zip(samples, samples[1:]) if a > 0)
 
 
 def two_step_identity_deviation(trace: Trace) -> float:

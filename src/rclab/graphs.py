@@ -84,15 +84,16 @@ def in_neighbors_l(g: DiGraph, i: int, l: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class Path:
-    """A simple directed path (i_1, ..., i_{m}); all nodes distinct."""
+    """A simple directed path (i_1, ..., i_{m}) of at least one hop; all
+    nodes distinct."""
 
     nodes: tuple[int, ...]
 
     def __post_init__(self):
+        if len(self.nodes) < 2:
+            raise GraphError(f"a path needs at least two nodes: {self.nodes}")
         if len(set(self.nodes)) != len(self.nodes):
             raise GraphError(f"path nodes must be distinct: {self.nodes}")
-        if not self.nodes:
-            raise GraphError("empty path")
 
     @property
     def source(self) -> int:

@@ -80,8 +80,7 @@ def relay_round(
 
     Values are rewritten by adversarial nodes along the path: the source's
     emission and each adversarial relay's corruption are per-(round, next
-    receiver). Paths are never altered. Self-messages are not included;
-    callers append them as ``Message(own, Path((i,)))``.
+    receiver). Paths are never altered.
 
     ``paths`` may supply the per-destination path enumeration (it only
     depends on g and l), letting callers amortize it across rounds.
@@ -119,15 +118,6 @@ def relay_round(
             append(Message(value, p))
         out[i] = tuple(msgs)
     return out
-
-
-def _path_candidate_masks(messages: Sequence[Message]) -> list[int]:
-    """Per-message candidate-node bitmasks: path nodes minus the destination."""
-    masks = [m.path.mask for m in messages]
-    if 0 in masks:
-        bad = messages[masks.index(0)].path.nodes
-        raise MessageError(f"message with self-path {bad} has no cover candidates")
-    return masks
 
 
 def _hit_prefix(masks: Sequence[int], k: int, chosen: int = 0, start: int = 0) -> tuple[int, int]:
@@ -175,7 +165,7 @@ def minimum_message_cover(ms: Sequence[Message]) -> tuple[frozenset[int], int]:
     m messages of at most l hops and a minimum cover of size c.
     Deterministic for a fixed message set.
     """
-    masks = _path_candidate_masks(_nonempty(ms, "minimum_message_cover"))
+    masks = [m.path.mask for m in _nonempty(ms, "minimum_message_cover")]
     size = 1
     while (found := _hit_prefix(masks, size))[0] < len(masks):
         size += 1
@@ -186,25 +176,17 @@ def mmc_cardinality(messages: Sequence[Message], cap: int) -> int:
     """min(minimum cover cardinality, cap + 1): iterative deepening over the
     bounded search tree up to depth cap, O(m * l^c) for c = min(cover, cap + 1).
     """
-    masks = _path_candidate_masks(_nonempty(messages, "mmc_cardinality"))
+    masks = [m.path.mask for m in _nonempty(messages, "mmc_cardinality")]
     for size in range(1, cap + 1):
         if _hit_prefix(masks, size)[0] == len(masks):
             return size
     return cap + 1
 
 
-def coverable_prefix(messages: Sequence[Message], k: int) -> int:
-    """Length of the longest prefix of ``messages`` whose paths at most k
-    nodes hit (destination excluded), by one bounded search."""
-    return _hit_prefix(_path_candidate_masks(messages), k)[0]
-
-
 def mmc_brute_force_oracle(ms: Sequence[Message]) -> int:
     """Exhaustive minimum-cover cardinality; refuses > 20 candidate nodes."""
     messages = _nonempty(ms, "mmc_brute_force_oracle")
     cand_sets = [set(m.path.nodes) - {m.destination} for m in messages]
-    if any(not c for c in cand_sets):
-        raise MessageError("message with self-path has no cover candidates")
     universe = sorted(set().union(*cand_sets))
     if len(universe) > 20:
         raise MessageError(f"oracle size cap exceeded: {len(universe)} candidates > 20")

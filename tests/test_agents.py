@@ -18,17 +18,14 @@ from rclab.agents import (
 from rclab.graphs import Path
 from rclab.messaging import (
     Message,
-    MessageError,
     mmc_brute_force_oracle,
     mmc_cardinality,
 )
 
 
-def one_hop_set(own, pairs, dest=99):
-    """Messages (source, value) plus the self-message, one hop each."""
-    msgs = [Message(v, Path((s, dest))) for s, v in pairs]
-    msgs.append(Message(own, Path((dest,))))
-    return tuple(msgs)
+def one_hop_set(pairs, dest=99):
+    """Received messages (source, value), one hop each."""
+    return tuple(Message(v, Path((s, dest))) for s, v in pairs)
 
 
 def classical_wmsr_retained(own, values, f):
@@ -37,7 +34,7 @@ def classical_wmsr_retained(own, values, f):
     keep = list(values)
     for v in above + below:
         keep.remove(v)
-    return sorted(keep + [own])
+    return sorted(keep)
 
 
 class TestReferenceFunction:
@@ -68,57 +65,44 @@ class TestReferenceFunction:
 
 class TestTrim:
     def test_f_zero_keeps_everything(self):
-        s = one_hop_set(2.0, [(1, 1.0), (2, 3.0)])
+        s = one_hop_set([(1, 1.0), (2, 3.0)])
         retained = mw_msr_trim(s, 2.0, 0)
         assert retained == s
         assert all(a is b for a, b in zip(retained, s))
 
     def test_negative_f_rejected(self):
-        s = one_hop_set(2.0, [(1, 1.0)])
+        s = one_hop_set([(1, 1.0)])
         with pytest.raises(AgentError):
             mw_msr_trim(s, 2.0, -1)
 
-    def test_requires_self_message(self):
-        s = (Message(1.0, Path((1, 2))),)
-        with pytest.raises(MessageError):
-            mw_msr_trim(s, 1.0, 1)
-
-    def test_self_message_position_does_not_matter(self):
-        others = [
+    def test_retained_keep_given_order(self):
+        s = (
             Message(5.0, Path((1, 3, 9))),
             Message(-2.0, Path((2, 9))),
             Message(4.0, Path((2, 3, 9))),
             Message(1.0, Path((4, 9))),
             Message(-3.0, Path((5, 9))),
-        ]
-        own = Message(0.5, Path((9,)))
-        results = []
-        for pos in (0, 2, len(others)):
-            s = tuple(others[:pos] + [own] + others[pos:])
-            retained = mw_msr_trim(s, 0.5, 1)
-            assert own in retained
-            results.append([m for m in retained if m is not own])
-        assert results[0] == results[1] == results[2]
-        assert [m.value for m in results[0]] == [-2.0, 1.0]
-        with pytest.raises(MessageError):
-            mw_msr_trim(tuple(others), 0.5, 1)
+        )
+        # node 3 explains 5.0 and 4.0 above own; one node explains -3.0 below
+        assert mw_msr_trim(s, 0.5, 1) == (s[1], s[3])
 
     def test_nothing_trimmed_returns_given_tuple(self):
-        s = one_hop_set(2.0, [(1, 1.0), (2, 3.0)])
+        s = one_hop_set([(1, 1.0), (2, 3.0)])
         assert mw_msr_trim(s, 2.0, 0) is s
-        level = one_hop_set(2.0, [(1, 2.0), (2, 2.0)])
+        level = one_hop_set([(1, 2.0), (2, 2.0)])
         assert mw_msr_trim(level, 2.0, 2) is level
-        assert mw_msr_trim(s, 2.0, 1) == (s[2],)
+        assert mw_msr_trim(s, 2.0, 1) == ()
 
-    def test_self_message_always_retained(self):
-        s = one_hop_set(9.0, [(i, float(i)) for i in range(1, 6)])
+    def test_own_value_always_averaged(self):
+        s = one_hop_set([(i, float(i)) for i in range(1, 6)])
         retained = mw_msr_trim(s, 9.0, 2)
-        assert any(m.path.hops == 0 for m in retained)
+        assert [m.value for m in retained] == [3.0, 4.0, 5.0]
+        assert mw_msr_update(retained, 9.0) == (3.0 + 4.0 + 5.0 + 9.0) / 4
 
     def test_equal_values_never_removed(self):
-        s = one_hop_set(2.0, [(1, 2.0), (2, 2.0), (3, 5.0)])
+        s = one_hop_set([(1, 2.0), (2, 2.0), (3, 5.0)])
         retained = mw_msr_trim(s, 2.0, 1)
-        assert sorted(m.value for m in retained) == [2.0, 2.0, 2.0]
+        assert sorted(m.value for m in retained) == [2.0, 2.0]
 
     @given(st.randoms())
     def test_one_hop_matches_classical_wmsr(self, rng):
@@ -126,7 +110,7 @@ class TestTrim:
         f = rng.randint(0, 3)
         values = rng.sample([x / 7 for x in range(-20, 21)], n)
         own = rng.choice([x / 7 for x in range(-20, 21)])
-        s = one_hop_set(own, list(enumerate(values, start=1)))
+        s = one_hop_set(list(enumerate(values, start=1)))
         retained = mw_msr_trim(s, own, f)
         assert sorted(m.value for m in retained) == classical_wmsr_retained(own, values, f)
 
@@ -136,27 +120,24 @@ class TestTrim:
         msgs = (
             Message(5.0, Path((1, 9))),
             Message(4.0, Path((2, 3, 9))),
-            Message(0.0, Path((9,))),
         )
         retained = mw_msr_trim(msgs, 0.0, 1)
-        assert sorted(m.value for m in retained) == [0.0, 4.0]
+        assert retained == (msgs[1],)
 
     def test_shared_cover_removes_group(self):
         # both high values route through node 3: one adversary explains both
         msgs = (
             Message(5.0, Path((1, 3, 9))),
             Message(4.0, Path((2, 3, 9))),
-            Message(0.0, Path((9,))),
         )
-        retained = mw_msr_trim(msgs, 0.0, 1)
-        assert sorted(m.value for m in retained) == [0.0]
+        assert mw_msr_trim(msgs, 0.0, 1) == ()
 
     def test_removed_sides_have_cover_at_most_f(self):
         rng = random.Random(11)
         for _ in range(200):
             f = rng.randint(1, 2)
             own = 0.0
-            msgs = [Message(own, Path((9,)))]
+            msgs = []
             for s in range(1, rng.randint(2, 6)):
                 relay = rng.choice([None, 7, 8])
                 path = (s, relay, 9) if relay else (s, 9)
@@ -186,33 +167,43 @@ class TestTrim:
                 path = (rng.randint(1, 7), *relays, 9)
                 if len(set(path)) == len(path):
                     side.append(Message(rng.uniform(-3, 3), Path(path)))
-            assert _trim_side(side, f) == linear_scan(side, f)
+            for upper in (True, False):
+                # most extreme first, stable; a side of at most f goes whole
+                ordered = sorted(side, key=lambda m: -m.value if upper else m.value)
+                expected = side if len(side) <= f else linear_scan(ordered, f)
+                assert _trim_side(list(side), f, upper) == expected
 
     def test_trim_invariant_can_fail(self, monkeypatch):
         side = [Message(3.0, Path((1, 9))), Message(2.0, Path((2, 9))), Message(1.0, Path((3, 9)))]
-        assert _trim_side(side, 2) == side[:2]
+        assert _trim_side(list(side), 2, True) == side[:2]
         real = agents._hit_prefix
         monkeypatch.setattr(agents, "_hit_prefix", lambda masks, k: (real(masks, k)[0] - 1, 0))
         with pytest.raises(AgentError):
-            _trim_side(side, 2)
+            _trim_side(list(side), 2, True)
 
 
 class TestUpdate:
     def test_self_only(self):
-        s = (Message(2.0, Path((1,))),)
-        assert mw_msr_update(s) == 2.0
+        assert mw_msr_update((), 2.0) == 2.0
 
     def test_mean(self):
-        s = one_hop_set(2.0, [(1, 1.0), (2, 3.0)])
-        assert mw_msr_update(s) == 2.0
+        s = one_hop_set([(1, 1.0), (2, 3.0)])
+        assert mw_msr_update(s, 2.0) == 2.0
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
     def test_convexity(self, values):
-        msgs = tuple(
-            Message(v, Path((i, 99))) for i, v in enumerate(values[:-1], start=1)
-        ) + (Message(values[-1], Path((99,))),)
-        out = mw_msr_update(msgs)
+        msgs = one_hop_set(enumerate(values[:-1], start=1))
+        out = mw_msr_update(msgs, values[-1])
         assert min(values) - 1e-9 <= out <= max(values) + 1e-9
+
+    @pytest.mark.parametrize("own", [math.nan, math.inf, -math.inf])
+    def test_non_finite_own_rejected(self, own):
+        with pytest.raises(AgentError):
+            mw_msr_update(one_hop_set([(1, 1.0)]), own)
+
+    def test_overflow_is_agent_error(self):
+        with pytest.raises(AgentError):
+            mw_msr_update(one_hop_set([(1, 1e308)]), 1e308)
 
 
 class TestControlParams:
@@ -274,6 +265,6 @@ class TestSecondOrder:
 
 class TestSecureStep:
     def test_interior_follower_trims_and_averages(self):
-        s = one_hop_set(2.0, [(1, 1.0), (2, 3.0), (3, 50.0)])
-        out = mw_msr_update(mw_msr_trim(s, 2.0, 1))
+        s = one_hop_set([(1, 1.0), (2, 3.0), (3, 50.0)])
+        out = mw_msr_update(mw_msr_trim(s, 2.0, 1), 2.0)
         assert out == 2.5  # one extreme trimmed per side: mean of {2, 3}

@@ -146,6 +146,14 @@ class TestSecondOrderRun:
         assert contraction_oracle(trace)
 
 
+class TestContractionOracle:
+    @pytest.mark.parametrize("name", ["fig4a_1hop", "fig7a_1hop_second_order"])
+    def test_fails_on_stalled_traces(self, name):
+        result = run(corpus_scenario(name))
+        assert [r.classification for r in result.reports] == ["stalled"] * len(result.traces)
+        assert not any(contraction_oracle(t) for t in result.traces)
+
+
 class TestConvergenceReport:
     def test_already_converged_round_zero(self):
         sc = make_scenario(init={2: ((1.0,),), 3: ((1.0,),), 4: ((1.0,),)})

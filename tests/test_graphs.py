@@ -87,6 +87,10 @@ class TestPaths:
         with pytest.raises(GraphError):
             Path((1, 2, 1))
 
+    def test_path_needs_a_hop(self):
+        with pytest.raises(GraphError):
+            Path((1,))
+
     def test_paths_to_lexicographic(self):
         g = DiGraph.from_edges(4, [(1, 2), (1, 3), (2, 4), (3, 4), (1, 4)])
         ps = paths_to(g, 1, 4, 2)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rclab.adversary import AttackScript, Waveform
-from rclab.graphs import DiGraph, Path, all_paths_into
+from rclab.graphs import DiGraph, GraphError, Path, all_paths_into
 from rclab.messaging import (
     Message,
     MessageError,
-    coverable_prefix,
+    _hit_prefix,
     minimum_message_cover,
     mmc_brute_force_oracle,
     mmc_cardinality,
@@ -20,6 +20,11 @@ from conftest import random_digraph
 
 def ms(*specs):
     return tuple(Message(v, Path(p)) for v, p in specs)
+
+
+def coverable(side, k):
+    """Length of the longest prefix of a side whose paths <= k nodes hit."""
+    return _hit_prefix([m.path.mask for m in side], k)[0]
 
 
 class ConstHook:
@@ -221,7 +226,8 @@ class TestMinimumMessageCover:
         assert 4 not in cover
 
     def test_self_path_is_domain_error(self):
-        with pytest.raises(MessageError):
+        # A one-node path has no node to cover, so no message can carry one.
+        with pytest.raises(GraphError):
             minimum_message_cover((Message(1.0, Path((2,))),))
 
     def test_empty_set_rejected(self):
@@ -276,7 +282,7 @@ class TestMinimumMessageCover:
     def test_cardinality_rejects_empty_and_self_path(self):
         s = ms((1.0, (1, 2)), (2.0, (3, 2)))
         assert mmc_cardinality(s, 2) == 2
-        with pytest.raises(MessageError):
+        with pytest.raises(GraphError):
             mmc_cardinality(s + (Message(0.0, Path((2,))),), 2)
         with pytest.raises(MessageError):
             mmc_cardinality((), 2)
@@ -297,21 +303,19 @@ class TestMinimumMessageCover:
                      if mmc_brute_force_oracle(side[:p]) <= k),
                     default=0,
                 )
-                assert coverable_prefix(side, k) == longest
+                assert coverable(side, k) == longest
                 short += longest < len(side)
         assert short > 100
 
     def test_coverable_prefix_is_not_the_first_leaf(self):
         # Branching on node 1 first hits one message; node 2 hits two.
         side = ms((3.0, (1, 2, 9)), (2.0, (2, 9)), (1.0, (3, 9)))
-        assert coverable_prefix(side, 1) == 2
-        assert coverable_prefix(side, 2) == 3
+        assert coverable(side, 1) == 2
+        assert coverable(side, 2) == 3
 
     def test_coverable_prefix_edges(self):
-        assert coverable_prefix((), 2) == 0
-        assert coverable_prefix(ms((1.0, (1, 2))), 0) == 0
-        with pytest.raises(MessageError):
-            coverable_prefix(ms((1.0, (1, 2)), (0.0, (2,))), 2)
+        assert _hit_prefix([], 2) == (0, 0)
+        assert coverable(ms((1.0, (1, 2))), 0) == 0
 
     def test_oracle_refuses_large_universe(self):
         paths = [(i, i + 1, 25) for i in range(1, 24, 2)]

@@ -324,6 +324,17 @@ class TestCli:
         assert res.exit_code == 3
         assert "rounds simulated: 11" in res.output
 
+    def test_simulate_overflowing_mean_exits_1(self, tmp_path):
+        # Finite values that validate accepts, but whose sum overflows a float.
+        data = yaml.safe_load(corpus_path("fig4a_1hop").read_text())
+        data["init"].update({1: 1.0e308, 2: 1.0e308})
+        p = tmp_path / "huge.yaml"
+        p.write_text(yaml.safe_dump(data))
+        assert self.invoke("validate", "--scenario", str(p)).exit_code == 0
+        res = self.invoke("simulate", "--scenario", str(p))
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert "error:" in res.output and "Traceback" not in res.output
+
     def test_simulate_unknown_scenario(self):
         res = self.invoke("simulate", "--scenario", "no_such_thing")
         assert res.exit_code == 1
