@@ -54,7 +54,7 @@ class AttackScript:
     ``groups`` maps receiver groups to emission waveforms; receivers not in
     any group get ``default``. A Byzantine node may differentiate receivers;
     a malicious node must broadcast identically (no groups allowed).
-    ``relay_mode`` is "same" (corrupt relayed values exactly like own
+    ``relay_mode`` is "same" (corrupt the values it relays like its own
     emissions) or "identity" (pass through).
     """
 

@@ -1,7 +1,7 @@
 """Synchronous round-based simulation loop, convergence detection, and
 trace-level oracles for the consensus guarantees.
 
-Each round: leaders publish the reference, values are relayed over the
+Each round: leaders publish the reference, values travel over the
 round's graph (with adversarial corruption), normal followers trim and
 average, and the error envelopes are recorded.
 """
@@ -151,25 +151,22 @@ class _MessageLog:
 
 
 def _initial_axis_state(scenario: Scenario, axis: int):
-    """Initial (x, v) maps for one axis; x holds the consensus variable."""
+    """Initial (x, v) maps for one axis; x holds the consensus variable. A
+    node without init is at rest: at its script's value if it is an adversary
+    but not a leader, else (a leader or virtual leader) at the reference."""
     ref0 = scenario.reference.value_at(0)
+    nodes = scenario.schedule.graphs[0].nodes
     x: dict[int, float] = {}
-    v: dict[int, float] = {}
-    for i in scenario.schedule.graphs[0].nodes:
+    v = dict.fromkeys(nodes, 0.0)
+    for i in nodes:
         if i in scenario.init:
             vals = scenario.init[i][axis]
             x[i] = vals[0]
             v[i] = vals[1] if len(vals) > 1 else 0.0
-        elif i in scenario.leaders:
-            x[i] = ref0
-            v[i] = 0.0
-        elif i in scenario.scripts:
+        elif i in scenario.scripts and i not in scenario.leaders:
             x[i] = scenario.scripts[i].default.value(0)
-            v[i] = 0.0
         else:
-            # Followers without init are virtual leaders in secure mode.
             x[i] = ref0
-            v[i] = 0.0
     return x, v
 
 
@@ -251,7 +248,8 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
 
         # Anchored followers average nothing; they record their own value.
         means = {i: x[i] for i in anchor_followers}
-        next_x, next_v = dict(x), dict(v)
+        next_x = dict(x)
+        next_v = dict(v) if second else v  # first order neither reads nor records v
         for i in trimming:
             means[i] = mw_msr_update(mw_msr_trim(delivered[i], x[i], scenario.f), x[i])
             if second:
@@ -263,10 +261,10 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
 
         for d in anchors:
             next_x[d] = r_now
-            next_v[d] = 0.0
         for a in adversaries:
             next_x[a] = scripts[a].default.value(k + 1)
-            next_v[a] = 0.0
+        if second:
+            next_v.update(dict.fromkeys(anchors | adversaries, 0.0))
 
         x, v = next_x, next_v
 
@@ -375,20 +373,19 @@ def envelope_nesting_holds(trace: Trace) -> bool:
     return True
 
 
-def contraction_oracle(trace: Trace, k1: int | None = None) -> bool:
+def contraction_oracle(trace: Trace) -> bool:
     """Contraction of the consensus error over every contraction period:
-    from round k1 (after the last reference step by default), the envelope
-    V (V_hat for second-order traces) sampled every (w + 1) * K rounds
-    strictly decreases from one sample to the next while it is above 0.
+    from the round after the last reference step, the envelope V (V_hat for
+    second-order traces) sampled every (w + 1) * K rounds strictly decreases
+    from one sample to the next while it is above 0.
     """
     period = (len(trace.normal_followers) + 1) * trace.K
     series = trace.V_hat if trace.second_order else trace.V
-    if k1 is None:
-        k1 = trace.reference.pieces[-1][0]
-        if k1 > 0:
-            k1 += 1  # leaders adopt a step change one round later
-        elif trace.second_order:
-            k1 = 1  # the two-step envelope needs a predecessor round
+    k1 = trace.reference.pieces[-1][0]
+    if k1 > 0:
+        k1 += 1  # leaders adopt a step change one round later
+    elif trace.second_order:
+        k1 = 1  # the two-step envelope needs a predecessor round
     samples = series[k1::period]
     return all(b < a for a, b in zip(samples, samples[1:]) if a > 0)
 

@@ -110,7 +110,7 @@ class Path:
     @cached_property
     def mask(self) -> int:
         """Bitmask of every node but the destination: the nodes that could
-        have changed a value relayed along the path."""
+        have changed a value passed along the path."""
         return nodes_bit(self.nodes[:-1])
 
 

@@ -26,7 +26,7 @@ class _MessageFields(NamedTuple):
 
 
 class Message(_MessageFields):
-    """A relayed value with its (authentic) path; destination is path[-1].
+    """A value with the (authentic) path it took; destination is path[-1].
 
     Immutable, hashable and equal by fields. A tuple underneath, because one
     is built per delivered path per round.
@@ -56,11 +56,9 @@ class Message(_MessageFields):
 class AdversaryHook(Protocol):
     """Per-node behavior plugged into relay_round for adversarial nodes.
 
-    ``emit`` must be a pure function of (k, receiver), and ``relay`` of
-    (value, k, receiver): within a round relay_round calls ``emit`` once per
-    (source, receiver) and ``relay`` once per (relay node, receiver, value),
-    and reuses the result for every path taking that hop with that value.
-    ``AttackScript`` satisfies this.
+    relay_round calls ``emit`` once per path from the node, with the path's
+    first receiver, and ``relay`` once per path through it, with the value
+    as it arrived and the path's next receiver.
     """
 
     def emit(self, k: int, receiver: int) -> float: ...
@@ -88,8 +86,6 @@ def relay_round(
     hooks = hooks or {}
     # Only a path through an adversary (destination aside) can be tampered.
     adv = nodes_bit(hooks)
-    emitted: dict[tuple[int, int], float] = {}
-    relayed: dict[tuple[int, int, float, float], float] = {}
     out: dict[int, tuple[Message, ...]] = {}
     for i in g.nodes:
         msgs = []
@@ -100,21 +96,11 @@ def relay_round(
                 append(Message(senders[nodes[0]], p))
                 continue
             hook = hooks.get(nodes[0])
-            if hook is None:
-                value = senders[nodes[0]]
-            else:
-                key = (nodes[0], nodes[1])
-                if key not in emitted:
-                    emitted[key] = hook.emit(k, nodes[1])
-                value = emitted[key]
+            value = senders[nodes[0]] if hook is None else hook.emit(k, nodes[1])
             for pos in range(1, len(nodes) - 1):
                 relay_hook = hooks.get(nodes[pos])
                 if relay_hook is not None:
-                    # 0.0 == -0.0 as a key; the sign term keeps them apart.
-                    rkey = (nodes[pos], nodes[pos + 1], value, math.copysign(1.0, value))
-                    if rkey not in relayed:
-                        relayed[rkey] = relay_hook.relay(value, k, nodes[pos + 1])
-                    value = relayed[rkey]
+                    value = relay_hook.relay(value, k, nodes[pos + 1])
             append(Message(value, p))
         out[i] = tuple(msgs)
     return out

@@ -262,7 +262,6 @@ def _interval_violation(
     keys = [k % schedule.period for k in interval]
     graphs = [schedule.graphs[key] for key in keys]
     inn = [{i: nodes_bit(g.in_neighbors(i)) & ~Fmask for i in followers} for g in graphs]
-    usable: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     def node_ok(i: int, S: int) -> bool:
         # r distinct direct in-neighbors outside S are r independent paths
@@ -271,11 +270,9 @@ def _interval_violation(
         if l == 1:
             return False
         for key, g in zip(keys, graphs):
-            if (key, i) not in usable:
-                if (key, i) not in paths:
-                    paths[key, i] = _path_masks(all_paths_into(g, i, l), relays_inside_s)
-                usable[key, i] = [(b, m) for b, m in paths[key, i] if not m & Fmask]
-            masks = [m for b, m in usable[key, i] if not b & S]
+            if (key, i) not in paths:
+                paths[key, i] = _path_masks(all_paths_into(g, i, l), relays_inside_s)
+            masks = [m for b, m in paths[key, i] if not (b & S or m & Fmask)]
             if len(masks) >= r and _max_disjoint_paths(masks, target=r) >= r:
                 return True
         return False

@@ -60,12 +60,23 @@ def _scalar(data: dict, key: str, conv, default=None):
         return conv(data[key])
 
 
-def _require(data, what: str, keys: tuple[str, ...]) -> None:
+def _int(value) -> int:
+    """``value`` if it is an int; a float or a bool is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _require(data, what: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    """``data`` is a mapping with every key of ``keys`` and no other but ``optional``."""
     if not isinstance(data, dict):
         raise ScenarioError(f"{what} must be a mapping")
     for key in keys:
         if key not in data:
             raise ScenarioError(f"{what} missing required field {key!r}")
+    unknown = sorted(set(data) - set(keys) - set(optional), key=str)
+    if unknown:
+        raise ScenarioError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}")
 
 
 def _load_mapping(path: FsPath | str, what: str) -> dict:
@@ -84,13 +95,14 @@ def _load_mapping(path: FsPath | str, what: str) -> dict:
 
 
 def _parse_graph(n: int, name: str, spec: dict) -> DiGraph:
+    _require(spec, f"graph {name!r}", (), ("edges", "undirected_edges"))
     edges: list[tuple[int, int]] = []
     with _field(f"graphs.{name}.edges"):
         for j, i in spec.get("edges", []):
-            edges.append((int(j), int(i)))
+            edges.append((_int(j), _int(i)))
     with _field(f"graphs.{name}.undirected_edges"):
         for a, b in spec.get("undirected_edges", []):
-            edges += [(int(a), int(b)), (int(b), int(a))]
+            edges += [(_int(a), _int(b)), (_int(b), _int(a))]
     if not edges:
         raise ScenarioError(f"graph {name!r} has no edges")
     try:
@@ -101,9 +113,9 @@ def _parse_graph(n: int, name: str, spec: dict) -> DiGraph:
 
 def parse_topology(data: dict) -> tuple[TopologySchedule, frozenset[int]]:
     _require(data, "topology", ("n", "leaders", "graphs", "schedule", "intervals"))
-    n = _scalar(data, "n", int)
+    n = _scalar(data, "n", _int)
     with _field("leaders"):
-        leaders = frozenset(int(d) for d in data["leaders"])
+        leaders = frozenset(_int(d) for d in data["leaders"])
     with _field("graphs"):
         graphs = {
             name: _parse_graph(n, name, spec) for name, spec in data["graphs"].items()
@@ -114,7 +126,7 @@ def parse_topology(data: dict) -> tuple[TopologySchedule, frozenset[int]]:
         except KeyError as e:
             raise ScenarioError(f"schedule references unknown graph {e.args[0]!r}") from e
     with _field("intervals"):
-        intervals = tuple(int(x) for x in data["intervals"])
+        intervals = tuple(_int(x) for x in data["intervals"])
     try:
         schedule = TopologySchedule(ordered, intervals)
     except GraphError as e:
@@ -160,27 +172,31 @@ def resolve_file(ref: str, base: FsPath | None = None) -> FsPath:
 # Scenario files
 
 
-def _parse_waveform(spec: dict, what: str) -> Waveform:
-    if "center" not in spec:
-        raise ScenarioError(f"{what}: waveform needs a 'center'")
+def _parse_waveform(spec: dict, what: str, extra: tuple[str, ...] = ()) -> Waveform:
+    """A waveform mapping; ``extra`` names the other keys it may hold."""
+    _require(spec, f"{what} waveform", ("center",), ("amplitude", "period", "waveform") + extra)
     return Waveform(
         center=float(spec["center"]),
         amplitude=float(spec.get("amplitude", 0.3)),
-        period=int(spec.get("period", 2)),
+        period=_int(spec.get("period", 2)),
         kind=str(spec.get("waveform", "square")),
     )
 
 
 def _parse_script(spec: dict) -> AttackScript:
-    node = int(spec["node"])
-    emit = spec.get("emit")
-    if not isinstance(emit, dict):
-        raise ScenarioError(f"adversary {node}: missing 'emit' mapping")
-    default = _parse_waveform(emit.get("default", emit), f"adversary {node}")
+    node = _int(spec["node"])
+    what = f"adversary {node}"
+    _require(spec, what, ("emit",), ("node", "model", "relay"))
+    emit = spec["emit"]
+    if isinstance(emit, dict) and "default" in emit:  # else emit is the default waveform
+        _require(emit, f"{what} emit", ("default",), ("groups",))
+        default = _parse_waveform(emit["default"], what)
+    else:
+        default = _parse_waveform(emit, what, ("groups",))
     groups = tuple(
         (
-            frozenset(int(r) for r in grp["receivers"]),
-            _parse_waveform(grp, f"adversary {node} group"),
+            frozenset(_int(r) for r in grp["receivers"]),
+            _parse_waveform(grp, f"{what} group", ("receivers",)),
         )
         for grp in emit.get("groups", [])
     )
@@ -300,15 +316,14 @@ class Scenario:
             for i, per_axis in self.init.items():
                 if any(len(vals) != 1 for vals in per_axis):
                     errors.append(f"first-order init for node {i} must be a scalar")
-        report = None
         if self.l >= 1:  # l < 1 is reported above and has no l-hop neighborhoods
             report = validate_f_local(self.adversaries, self.schedule, self.l, self.f)
-        if report is not None and not report.f_local:
-            i, k = report.witness
-            errors.append(
-                f"adversary set is not {self.f}-local: node {i} has more than "
-                f"{self.f} adversaries within {self.l} hops at step {k}"
-            )
+            if not report.f_local:
+                i, k = report.witness
+                errors.append(
+                    f"adversary set is not {self.f}-local: node {i} has more than "
+                    f"{self.f} adversaries within {self.l} hops at step {k}"
+                )
         if self.algorithm == "mw-msr-secure" and self.adversaries & self.leaders:
             errors.append(
                 "secure-leader mode contradicts adversarial leaders "
@@ -363,20 +378,23 @@ class Scenario:
 
 
 def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenario:
-    _require(data, "scenario", ("topology", "algorithm", "f", "l", "reference"))
+    optional = ("axes", "init", "delta", "adversaries", "tol", "window", "max_rounds", "budget")
+    if isinstance(data, dict) and data.get("algorithm") == "mdp-msr":
+        optional += ("T", "beta")  # only the second-order algorithm reads them
+    _require(data, "scenario", ("topology", "algorithm", "f", "l", "reference"), optional)
     schedule, leaders = load_topology(resolve_file(str(data["topology"]), base))
     algorithm = str(data["algorithm"])
     if algorithm not in ALGORITHMS:
         raise ScenarioError(f"unknown algorithm {algorithm!r}")
-    f_param, l_param = _scalar(data, "f", int), _scalar(data, "l", int)
-    axes = _scalar(data, "axes", int, 1)
+    f_param, l_param = _scalar(data, "f", _int), _scalar(data, "l", _int)
+    axes = _scalar(data, "axes", _int, 1)
 
     with _field("reference"):
         ref_raw = data["reference"]
         if isinstance(ref_raw, (int, float)):
             reference = ReferenceFunction.constant(float(ref_raw))
         else:
-            reference = ReferenceFunction(tuple((int(s), float(v)) for s, v in ref_raw))
+            reference = ReferenceFunction(tuple((_int(s), float(v)) for s, v in ref_raw))
 
     params = None
     if algorithm == "mdp-msr":
@@ -390,7 +408,7 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
 
     with _field("init"):
         init = {
-            int(i): _parse_axis_values(raw, axes, f"init[{i}]")
+            _int(i): _parse_axis_values(raw, axes, f"init[{i}]")
             for i, raw in (data.get("init") or {}).items()
         }
     delta = {}
@@ -399,7 +417,7 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
             vals = raw if isinstance(raw, list) else [raw]
             if len(vals) != axes:
                 raise ScenarioError(f"delta[{i}]: need one offset per axis")
-            delta[int(i)] = tuple(float(v) for v in vals)
+            delta[_int(i)] = tuple(float(v) for v in vals)
 
     scripts = {}
     with _field("adversaries"):
@@ -423,9 +441,9 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
         delta=delta,
         scripts=scripts,
         tol=_scalar(data, "tol", float, 1e-6),
-        window=_scalar(data, "window", int, 50),
-        max_rounds=_scalar(data, "max_rounds", int, 2000),
-        budget=_scalar(data, "budget", int),
+        window=_scalar(data, "window", _int, 50),
+        max_rounds=_scalar(data, "max_rounds", _int, 2000),
+        budget=_scalar(data, "budget", _int),
     )
 
 

@@ -39,16 +39,6 @@ class ConstHook:
         return value if self.relay_value is None else self.relay_value
 
 
-class CountingHook(ConstHook):
-    def __init__(self, emit_value):
-        super().__init__(emit_value)
-        self.emits = []
-
-    def emit(self, k, receiver):
-        self.emits.append(receiver)
-        return self.emit_value
-
-
 def walk_relay_round(g, senders, l, k, hooks):
     """Reference relay: every path walks every relay, one hop at a time."""
     out = {}
@@ -83,16 +73,19 @@ def random_script(rng, node, n, honest):
     return AttackScript(node, Waveform(100.0 + node), groups, relay_mode=mode)
 
 
-class RecordingHook(ConstHook):
-    """Identity relay that records each (value, receiver) it relays."""
+class CallLog:
+    """Delegates to a hook and logs each call it makes, in order."""
 
-    def __init__(self, emit_value):
-        super().__init__(emit_value)
-        self.relays = []
+    def __init__(self, hook, calls):
+        self.hook, self.calls = hook, calls
+
+    def emit(self, k, receiver):
+        self.calls.append(("emit", self.hook.node, k, receiver))
+        return self.hook.emit(k, receiver)
 
     def relay(self, value, k, receiver):
-        self.relays.append((value, receiver))
-        return value
+        self.calls.append(("relay", self.hook.node, value, k, receiver))
+        return self.hook.relay(value, k, receiver)
 
 
 class TestMessageTypes:
@@ -178,23 +171,20 @@ class TestRelayRound:
                 )
         assert through_relay > 0
 
-    def test_emit_called_once_per_source_and_receiver(self):
-        g = DiGraph.from_edges(4, [(1, 2), (1, 3), (2, 4), (3, 4), (2, 3)])
-        hook = CountingHook(5.0)
-        out = relay_round(g, {i: 0.0 for i in g.nodes}, l=3, hooks={1: hook})
-        assert sorted(hook.emits) == [2, 3]
-        assert {m.value for msgs in out.values() for m in msgs if m.source == 1} == {5.0}
-
-    def test_relay_called_once_per_node_receiver_and_value(self):
-        # Sources 1 and 2 send 1.0, source 5 sends 2.0, all through relay 3.
-        g = DiGraph.from_edges(6, [(1, 3), (2, 3), (5, 3), (3, 4), (3, 6), (4, 6)])
-        hook = RecordingHook(7.0)
-        senders = {1: 1.0, 2: 1.0, 3: 0.0, 4: 0.0, 5: 2.0, 6: 0.0}
-        out = relay_round(g, senders, l=3, hooks={3: hook})
-        assert sorted(hook.relays) == [(1.0, 4), (1.0, 6), (2.0, 4), (2.0, 6)]
-        want = walk_relay_round(g, senders, 3, 0, {3: ConstHook(7.0)})
-        for i in g.nodes:
-            assert [(m.path.nodes, m.value) for m in out[i]] == want[i]
+    def test_hooks_called_once_per_path(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            n = rng.randint(3, 8)
+            g = random_digraph(rng, n)
+            l, k = rng.randint(1, 3), rng.randint(0, 5)
+            senders = {i: rng.uniform(-10, 10) for i in g.nodes}
+            adversaries = rng.sample(list(g.nodes), rng.randint(1, max(1, n // 2)))
+            scripts = {a: random_script(rng, a, n, senders[a]) for a in adversaries}
+            walked, relayed = [], []
+            walk_relay_round(g, senders, l, k,
+                             {a: CallLog(s, walked) for a, s in scripts.items()})
+            relay_round(g, senders, l, k, {a: CallLog(s, relayed) for a, s in scripts.items()})
+            assert relayed == walked
 
     def test_identity_relay_keeps_the_sign_of_zero(self):
         # 0.0 == -0.0, yet an identity relay must deliver each one unchanged.

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import re
 import textwrap
@@ -403,6 +404,52 @@ def mutated(draw, node):
     return draw(yaml_values)
 
 
+def replaced(data, path, value):
+    """A deep copy of ``data`` with the entry at ``path`` set to ``value``."""
+    out = copy.deepcopy(data)
+    *head, last = path
+    node = out
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return out
+
+
+# (kind, path to a key's value, the misspelled or foreign key, its value)
+UNKNOWN_KEYS = {
+    "scenario": ("scenario", (), "max_round", 5),
+    "topology": ("topology", (), "nodes", 4),
+    "graph": ("topology", ("graphs", "g"), "edge", [[1, 2]]),
+    "adversary": ("scenario", ("adversaries", 0), "modle", "malicious"),
+    "emit": ("scenario", ("adversaries", 0, "emit"), "group", []),
+    "default": ("scenario", ("adversaries", 0, "emit", "default"), "kind", "square"),
+    "group": ("scenario", ("adversaries", 0, "emit", "groups", 0), "members", [3]),
+    "emit-waveform": ("scenario", ("adversaries", 0, "emit"), "amp", 1.0),
+    "first-order-T": ("scenario", (), "T", 0.1),
+}
+
+# (kind, path, the field the error names); the value there becomes 1.9 or True.
+INTEGER_FIELDS = {
+    "n": ("topology", ("n",), "'n'"),
+    "leaders": ("topology", ("leaders", 0), "'leaders'"),
+    "intervals": ("topology", ("intervals", 0), "'intervals'"),
+    "edges": ("topology", ("graphs", "g", "edges", 0, 1), "'graphs.g.edges'"),
+    "undirected-edges": ("topology", ("graphs", "g", "undirected_edges", 0, 0),
+                         "'graphs.g.undirected_edges'"),
+    "f": ("scenario", ("f",), "'f'"),
+    "l": ("scenario", ("l",), "'l'"),
+    "axes": ("scenario", ("axes",), "'axes'"),
+    "window": ("scenario", ("window",), "'window'"),
+    "max_rounds": ("scenario", ("max_rounds",), "'max_rounds'"),
+    "budget": ("scenario", ("budget",), "'budget'"),
+    "piece-start": ("scenario", ("reference", 1, 0), "'reference'"),
+    "adversary-node": ("scenario", ("adversaries", 0, "node"), "'adversaries'"),
+    "period": ("scenario", ("adversaries", 0, "emit", "default", "period"), "'adversaries'"),
+    "receivers": ("scenario", ("adversaries", 0, "emit", "groups", 0, "receivers", 0),
+                  "'adversaries'"),
+}
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "kind, over, field", MALFORMED,
@@ -414,6 +461,44 @@ class TestMalformedInput:
                 parse_topology({**TOPOLOGY, **over})
             else:
                 parse_scenario({**SCENARIO, **over}, "scn", workspace)
+
+    @pytest.mark.parametrize("where", UNKNOWN_KEYS)
+    def test_unknown_key_is_named(self, workspace, where):
+        kind, path, key, value = UNKNOWN_KEYS[where]
+        data = TOPOLOGY if kind == "topology" else SCENARIO
+        bad = replaced(data, path + (key,), value)
+        with pytest.raises(ScenarioError, match=f"unknown field.*'{key}'"):
+            if kind == "topology":
+                parse_topology(bad)
+            else:
+                parse_scenario(bad, "scn", workspace)
+
+    def test_misspelled_max_rounds_fails_validate(self, tmp_path):
+        data = yaml.safe_load(corpus_path("fig4a_1hop").read_text())
+        data["max_round"] = data.pop("max_rounds")
+        p = tmp_path / "scn.yaml"
+        p.write_text(yaml.safe_dump(data))
+        res = CliRunner().invoke(main, ["validate", "--scenario", str(p)])
+        assert res.exit_code == 1 and "'max_round'" in res.output
+
+    @pytest.mark.parametrize("bad", [1.9, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("where", INTEGER_FIELDS)
+    def test_integer_field_is_not_truncated(self, workspace, where, bad):
+        kind, path, field = INTEGER_FIELDS[where]
+        scenario = {**SCENARIO, "axes": 1, "window": 50, "max_rounds": 100, "budget": 10,
+                    "reference": [[0, 1.0], [5, 2.0]]}
+        data = TOPOLOGY if kind == "topology" else scenario
+        with pytest.raises(ScenarioError, match=f"{re.escape(field)}.*expected an integer"):
+            if kind == "topology":
+                parse_topology(replaced(data, path, bad))
+            else:
+                parse_scenario(replaced(data, path, bad), "scn", workspace)
+
+    def test_integer_node_ids_are_not_truncated(self, workspace):
+        for bad in (1.9, True):
+            for key in ("init", "delta"):
+                with pytest.raises(ScenarioError, match=f"'{key}'.*expected an integer"):
+                    parse_scenario({**SCENARIO, key: {bad: 0.5}}, "scn", workspace)
 
     @pytest.mark.parametrize(
         "over, message",
