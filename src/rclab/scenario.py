@@ -67,6 +67,13 @@ def _int(value) -> int:
     return value
 
 
+def _float(value) -> float:
+    """``float(value)`` if it is an int or a float; a bool or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _require(data, what: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
     """``data`` is a mapping with every key of ``keys`` and no other but ``optional``."""
     if not isinstance(data, dict):
@@ -79,10 +86,17 @@ def _require(data, what: str, keys: tuple[str, ...], optional: tuple[str, ...] =
         raise ScenarioError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}")
 
 
+# libyaml's parser when PyYAML is built with it. Both loaders build the data
+# with the same Python constructor and resolver, so they give the same values.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_mapping(path: FsPath | str, what: str) -> dict:
-    with open(path) as fh:
+    # Bytes, so that YAML's reader decodes them (UTF-8, or UTF-16 with a BOM)
+    # and reports invalid ones as malformed YAML.
+    with open(path, "rb") as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_LOADER)
         except yaml.YAMLError as e:
             raise ScenarioError(f"{path}: malformed YAML: {e}") from e
     if not isinstance(data, dict):
@@ -159,12 +173,13 @@ def corpus_path(name: str) -> FsPath:
 
 
 def resolve_file(ref: str, base: FsPath | None = None) -> FsPath:
-    """A file path (possibly relative to the referring file) or corpus name."""
-    cand = FsPath(ref)
-    if cand.is_file():
-        return cand
+    """A file path or corpus name. With ``base``, the directory of the
+    referring file, a path relative to it comes before one relative to the
+    working directory."""
     if base is not None and (base / ref).is_file():
         return base / ref
+    if FsPath(ref).is_file():
+        return FsPath(ref)
     return corpus_path(ref.removesuffix(".yaml"))
 
 
@@ -176,8 +191,8 @@ def _parse_waveform(spec: dict, what: str, extra: tuple[str, ...] = ()) -> Wavef
     """A waveform mapping; ``extra`` names the other keys it may hold."""
     _require(spec, f"{what} waveform", ("center",), ("amplitude", "period", "waveform") + extra)
     return Waveform(
-        center=float(spec["center"]),
-        amplitude=float(spec.get("amplitude", 0.3)),
+        center=_float(spec["center"]),
+        amplitude=_float(spec.get("amplitude", 0.3)),
         period=_int(spec.get("period", 2)),
         kind=str(spec.get("waveform", "square")),
     )
@@ -213,13 +228,13 @@ def _parse_axis_values(raw, axes: int, what: str) -> tuple[tuple[float, ...], ..
     """Normalize per-node init/offset entries to one tuple per axis."""
     if axes == 1:
         vals = raw if isinstance(raw, list) else [raw]
-        return (tuple(float(v) for v in vals),)
+        return (tuple(_float(v) for v in vals),)
     if not (isinstance(raw, list) and len(raw) == axes):
         raise ScenarioError(f"{what}: need one entry per axis, got {raw!r}")
     out = []
     for ax in raw:
         vals = ax if isinstance(ax, list) else [ax]
-        out.append(tuple(float(v) for v in vals))
+        out.append(tuple(_float(v) for v in vals))
     return tuple(out)
 
 
@@ -391,16 +406,16 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
 
     with _field("reference"):
         ref_raw = data["reference"]
-        if isinstance(ref_raw, (int, float)):
-            reference = ReferenceFunction.constant(float(ref_raw))
+        if isinstance(ref_raw, list):
+            reference = ReferenceFunction(tuple((_int(s), _float(v)) for s, v in ref_raw))
         else:
-            reference = ReferenceFunction(tuple((_int(s), float(v)) for s, v in ref_raw))
+            reference = ReferenceFunction.constant(_float(ref_raw))
 
     params = None
     if algorithm == "mdp-msr":
         if "T" not in data or "beta" not in data:
             raise ScenarioError("mdp-msr requires 'T' and 'beta'")
-        T, beta = _scalar(data, "T", float), _scalar(data, "beta", float)
+        T, beta = _scalar(data, "T", _float), _scalar(data, "beta", _float)
         try:
             params = ControlParams(T=T, beta=beta)
         except AgentError as e:
@@ -417,7 +432,7 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
             vals = raw if isinstance(raw, list) else [raw]
             if len(vals) != axes:
                 raise ScenarioError(f"delta[{i}]: need one offset per axis")
-            delta[_int(i)] = tuple(float(v) for v in vals)
+            delta[_int(i)] = tuple(_float(v) for v in vals)
 
     scripts = {}
     with _field("adversaries"):
@@ -440,7 +455,7 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
         init=init,
         delta=delta,
         scripts=scripts,
-        tol=_scalar(data, "tol", float, 1e-6),
+        tol=_scalar(data, "tol", _float, 1e-6),
         window=_scalar(data, "window", _int, 50),
         max_rounds=_scalar(data, "max_rounds", _int, 2000),
         budget=_scalar(data, "budget", _int),

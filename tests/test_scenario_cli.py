@@ -1,13 +1,17 @@
 import copy
 import dataclasses
+import importlib.util
+import random
 import re
 import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
+from rclab import scenario as scenario_mod
 from rclab.cli import main
 from rclab.scenario import (
     Scenario,
@@ -64,6 +68,14 @@ SCENARIO = {
 def workspace(tmp_path):
     (tmp_path / "topo.yaml").write_text(MINI_TOPOLOGY)
     return tmp_path
+
+
+@pytest.fixture(params=["default", "fallback"])
+def loader(request, monkeypatch):
+    """Runs a test with the module's YAML loader (libyaml's when PyYAML has
+    it) and again with the pure-Python one it falls back to."""
+    if request.param == "fallback":
+        monkeypatch.setattr(scenario_mod, "_LOADER", yaml.SafeLoader)
 
 
 class TestTopologyParsing:
@@ -269,6 +281,21 @@ class TestCorpus:
         assert resolve_file(str(workspace / "topo.yaml")) == workspace / "topo.yaml"
         assert resolve_file("net15").name == "net15.yaml"
 
+    def test_topology_next_to_scenario_wins_over_working_directory(self, tmp_path, monkeypatch):
+        scenario_dir, elsewhere = tmp_path / "a", tmp_path / "b"
+        scenario_dir.mkdir()
+        elsewhere.mkdir()
+        (scenario_dir / "topo.yaml").write_text(MINI_TOPOLOGY)
+        (scenario_dir / "scen.yaml").write_text(mini_scenario_yaml())
+        (elsewhere / "topo.yaml").write_text(MINI_TOPOLOGY.replace(", [1, 4]]", "]"))
+        monkeypatch.chdir(scenario_dir)
+        beside = load_scenario(scenario_dir / "scen.yaml")
+        monkeypatch.chdir(elsewhere)
+        away = load_scenario(scenario_dir / "scen.yaml")
+        assert away.fingerprint() == beside.fingerprint()
+        assert (1, 4) in away.schedule.graphs[0].edges
+        assert resolve_file("topo.yaml") == Path("topo.yaml")  # no base: the working directory
+
     def test_unknown_corpus_name(self):
         with pytest.raises(ScenarioError, match="unknown corpus entry"):
             corpus_path("nonexistent")
@@ -449,6 +476,22 @@ INTEGER_FIELDS = {
                   "'adversaries'"),
 }
 
+# (path, the field the error names); the value there becomes True or "1.3".
+FLOAT_FIELDS = {
+    "tol": (("tol",), "'tol'"),
+    "T": (("T",), "'T'"),
+    "beta": (("beta",), "'beta'"),
+    "reference-constant": (("reference",), "'reference'"),
+    "reference-value": (("reference", 1, 1), "'reference'"),
+    "init": (("init", 2), "'init'"),
+    "delta": (("delta", 2), "'delta'"),
+    "center": (("adversaries", 0, "emit", "default", "center"), "'adversaries'"),
+    "amplitude": (("adversaries", 0, "emit", "default", "amplitude"), "'adversaries'"),
+    "group-center": (("adversaries", 0, "emit", "groups", 0, "center"), "'adversaries'"),
+    "group-amplitude": (("adversaries", 0, "emit", "groups", 0, "amplitude"),
+                        "'adversaries'"),
+}
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
@@ -493,6 +536,26 @@ class TestMalformedInput:
                 parse_topology(replaced(data, path, bad))
             else:
                 parse_scenario(replaced(data, path, bad), "scn", workspace)
+
+    @pytest.mark.parametrize("bad", [True, "1.3"], ids=["bool", "string"])
+    @pytest.mark.parametrize("where", FLOAT_FIELDS)
+    def test_float_field_refuses_bools_and_strings(self, workspace, where, bad):
+        path, field = FLOAT_FIELDS[where]
+        data = {**SCENARIO, "algorithm": "mdp-msr", "T": 0.8, "beta": 1.65, "tol": 1e-6,
+                "reference": [[0, 1.0], [5, 2.0]]}
+        with pytest.raises(ScenarioError, match=f"{re.escape(field)}.*expected a number"):
+            parse_scenario(replaced(data, path, bad), "scn", workspace)
+
+    def test_float_field_reads_an_integer_as_a_float(self, workspace):
+        data = {**SCENARIO, "algorithm": "mdp-msr", "T": 0.8, "beta": 2, "tol": 1,
+                "reference": 3, "init": {2: 3, 3: 5}, "delta": {2: -1},
+                "adversaries": [{"node": 4, "emit": {"center": 2, "amplitude": 1}}]}
+        sc = parse_scenario(data, "scn", workspace)
+        wave = sc.scripts[4].default
+        values = [sc.params.beta, sc.tol, sc.reference.pieces[0][1], sc.init[2][0][0],
+                  sc.delta[2][0], wave.center, wave.amplitude]
+        assert values == [2.0, 1.0, 3.0, 3.0, -1.0, 2.0, 1.0]
+        assert all(type(v) is float for v in values)
 
     def test_integer_node_ids_are_not_truncated(self, workspace):
         for bad in (1.9, True):
@@ -543,3 +606,79 @@ class TestMalformedInput:
             res = CliRunner().invoke(main, ["validate", "--scenario", str(root / "scn.yaml")])
             assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
             assert "Traceback" not in res.output
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+# Characters a mutation inserts or writes over: YAML indicators, whitespace,
+# digits and letters.
+MUTATION_CHARS = " \t\n:-[]{},#?&*!|>'\"%@`.0123456789eaxy"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def mutation(text: str, rng: random.Random) -> str:
+    """``text`` with one to three characters inserted, deleted or replaced."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars))
+        op = rng.choice(("insert", "delete", "replace"))
+        if op == "delete":
+            del chars[i]
+        else:
+            chars[i:i + (op == "replace")] = rng.choice(MUTATION_CHARS)
+    return "".join(chars)
+
+
+class TestLoader:
+    def test_same_data_as_pure_python_loader(self, tmp_path):
+        workloads = load_workloads()
+        for name in workloads.WORKLOADS:
+            for seed in (0, 1, 2):
+                workloads.generate(name, seed, tmp_path / f"{name}-{seed}")
+        files = sorted(tmp_path.glob("*/*.yaml")) + [corpus_path(n) for n in corpus_names()]
+        assert len(files) > 90
+        for path in files:
+            data = scenario_mod._load_mapping(path, "input")
+            expected = yaml.load(path.read_bytes(), Loader=yaml.SafeLoader)
+            assert data == expected and repr(data) == repr(expected), path
+
+    def test_invalid_bytes_are_malformed_yaml(self, loader, tmp_path):
+        p = tmp_path / "bad.yaml"
+        p.write_bytes(mini_scenario_yaml().encode() + b"\n# \xff\n")
+        res = CliRunner().invoke(main, ["validate", "--scenario", str(p)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert "bad.yaml: malformed YAML" in res.output
+
+    def test_utf16_with_bom_loads(self, loader, workspace):
+        (workspace / "utf8.yaml").write_text(mini_scenario_yaml(), encoding="utf-8")
+        (workspace / "utf16.yaml").write_text(mini_scenario_yaml(), encoding="utf-16")
+        utf8, utf16 = (load_scenario(workspace / f"{n}.yaml") for n in ("utf8", "utf16"))
+        assert dataclasses.replace(utf16, name="utf8").fingerprint() == utf8.fingerprint()
+
+    def test_mutated_corpus_raises_only_scenario_error(self, loader, tmp_path):
+        # libyaml accepts a few texts the pure-Python parser refuses (a tab
+        # inside a plain scalar, '?' in a flow mapping); what they parse to
+        # must then be refused by the key and type checks, or validate.
+        rng = random.Random(13)
+        names = corpus_names()
+        texts = {name: corpus_path(name).read_text() for name in names}
+        loaded = 0
+        for k in range(200):
+            name = names[k % len(names)]
+            p = tmp_path / f"{name}.yaml"
+            p.write_text(mutation(texts[name], rng))
+            try:
+                if name.startswith("net"):
+                    load_topology(p)
+                else:
+                    load_scenario(p).validate()
+                loaded += 1
+            except ScenarioError:
+                pass
+        assert 0 < loaded < 200
