@@ -53,7 +53,6 @@ def main():
         reference=ReferenceFunction.constant(args.reference),
         init={i: (v,) for i, v in full_init.items()},
         scripts=scripts,
-        budget=args.rounds,
         max_rounds=args.rounds,
     )
     result = run(scenario)

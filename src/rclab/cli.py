@@ -77,18 +77,14 @@ def cli_check_robustness(topology, r_param, l_param, f_param, strict_relays):
 @main.command("simulate")
 @click.option("--scenario", "scenario_ref", required=True, help="Scenario file or corpus name.")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None)
-@click.option("--tol", type=float, default=None, help="Override convergence tolerance.")
-@click.option("--max-rounds", type=int, default=None, help="Cap the rounds, also below a budget set in the file.")
+@click.option("--max-rounds", type=int, default=None, help="Override the file's max_rounds.")
 @click.option("--summary", is_flag=True, help="Print the convergence report only.")
-def cli_simulate(scenario_ref, out_dir, tol, max_rounds, summary):
+def cli_simulate(scenario_ref, out_dir, max_rounds, summary):
     """Run a scenario and report convergence."""
     try:
         scenario = load_scenario(resolve_file(scenario_ref))
-        if tol is not None:
-            scenario = dataclasses.replace(scenario, tol=tol)
         if max_rounds is not None:
-            budget = None if scenario.budget is None else min(scenario.budget, max_rounds)
-            scenario = dataclasses.replace(scenario, max_rounds=max_rounds, budget=budget)
+            scenario = dataclasses.replace(scenario, max_rounds=max_rounds)
         result = engine_mod.run(scenario, out_dir)
     except (ScenarioError, ValueError, OSError) as e:
         click.echo(f"error: {e}", err=True)

@@ -13,8 +13,6 @@ from functools import lru_cache
 from pathlib import Path as FsPath
 
 from .agents import (
-    ControlParams,
-    ReferenceFunction,
     mdp_msr_control,
     mw_msr_trim,
     mw_msr_update,
@@ -31,23 +29,15 @@ class EngineError(ValueError):
 
 @dataclass
 class Trace:
-    """Per-round scalars of one simulated axis.
+    """Per-round scalars of one simulated axis of ``scenario``.
 
     ``x`` holds the consensus variable (position offset for second order).
     ``retained_mean`` stores, for each normal follower, the average of its
     retained values at each round — enough to replay the update identities.
     """
 
-    scenario_name: str
-    fingerprint: str
+    scenario: Scenario
     axis: int
-    second_order: bool
-    n: int
-    leaders: frozenset[int]
-    adversaries: frozenset[int]
-    reference: ReferenceFunction
-    K: int
-    params: ControlParams | None = None
     x: list[dict[int, float]] = field(default_factory=list)
     v: list[dict[int, float]] = field(default_factory=list)
     retained_mean: list[dict[int, float]] = field(default_factory=list)
@@ -60,14 +50,16 @@ class Trace:
         return len(self.x)
 
     @property
+    def second_order(self) -> bool:
+        return self.scenario.second_order
+
+    @property
     def normal_followers(self) -> frozenset[int]:
-        return (
-            frozenset(range(1, self.n + 1)) - self.leaders - self.adversaries
-        )
+        return self.scenario.normal_followers
 
     @property
     def normal_nodes(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1)) - self.adversaries
+        return frozenset(range(1, self.scenario.schedule.n + 1)) - self.scenario.adversaries
 
 
 @dataclass(frozen=True)
@@ -176,7 +168,7 @@ def _envelope(states: dict[int, float], nodes: frozenset[int]) -> tuple[float, f
 
 
 def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = None) -> Trace:
-    """Simulate one axis to convergence or budget exhaustion.
+    """Simulate one axis until it converges or reaches ``max_rounds``.
 
     Node roles are fixed before the loop. Anchors (the normal leaders, and in
     secure mode the normal virtual leaders) adopt the reference each round;
@@ -199,26 +191,15 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
     trimming = normal_followers - anchors
 
     x, v = _initial_axis_state(scenario, axis)
-    trace = Trace(
-        scenario_name=scenario.name,
-        fingerprint=scenario.fingerprint(),
-        axis=axis,
-        second_order=second,
-        n=schedule.n,
-        leaders=scenario.leaders,
-        adversaries=adversaries,
-        reference=ref,
-        K=schedule.max_interval_length,
-        params=scenario.params,
-    )
+    trace = Trace(scenario, axis)
     metric_nodes = trace.normal_nodes
-    budget = scenario.max_rounds if scenario.budget is None else scenario.budget
+    max_rounds = scenario.max_rounds
     last_piece_start = ref.pieces[-1][0]
     run_length = 0
     # V_hat spans rounds k-1 and k; at round 0 it spans round 0 alone.
     prev_lo, prev_hi = _envelope(x, metric_nodes)
 
-    for k in range(budget + 1):
+    for k in range(max_rounds + 1):
         # Metrics on the state at round k.
         lo, hi = _envelope(x, metric_nodes)
         r_now = ref.value_at(k)
@@ -236,7 +217,7 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
         run_length = run_length + 1 if res <= scenario.tol else 0
         if run_length >= scenario.window and k >= last_piece_start:
             break
-        if k == budget:
+        if k == max_rounds:
             break
 
         # Exchange over the round's graph.
@@ -292,19 +273,19 @@ def run(scenario: Scenario, out_dir: FsPath | str | None = None) -> SimulationRe
         traces.append(trace)
         if out is not None:
             write_trace_csv(trace, out / f"{scenario.name}_axis{axis}_trace.csv")
-    reports = tuple(
-        convergence_report(t, scenario.tol, scenario.window) for t in traces
-    )
+    reports = tuple(convergence_report(t) for t in traces)
     return SimulationResult(scenario, tuple(traces), reports)
 
 
-def convergence_report(trace: Trace, tol: float, window: int) -> ConvergenceReport:
-    """Windowed residual test, re-applied within each reference segment."""
+def convergence_report(trace: Trace) -> ConvergenceReport:
+    """Windowed residual test with the scenario's ``tol`` and ``window``,
+    re-applied within each reference segment."""
+    tol, window = trace.scenario.tol, trace.scenario.window
     if tol <= 0:
         raise EngineError(f"tolerance must be positive, got {tol}")
     rounds = trace.rounds
     segments = []
-    for seg_range, value in trace.reference.segments(rounds):
+    for seg_range, value in trace.scenario.reference.segments(rounds):
         run_len, conv_round = 0, None
         for k in seg_range:
             run_len = run_len + 1 if trace.residual[k] <= tol else 0
@@ -319,7 +300,7 @@ def convergence_report(trace: Trace, tol: float, window: int) -> ConvergenceRepo
 
     last = segments[-1]
     # A run that ends before the last reference step has not tracked it.
-    reached = last.start == trace.reference.pieces[-1][0]
+    reached = last.start == trace.scenario.reference.pieces[-1][0]
     converged = reached and last.converged
     final_res = trace.residual[-1]
     vel = None
@@ -354,7 +335,7 @@ def envelope_nesting_holds(trace: Trace) -> bool:
     widens (exact comparisons; the updates are convex combinations)."""
     nodes = trace.normal_nodes
     two_step = trace.second_order
-    for seg_range, _ in trace.reference.segments(trace.rounds):
+    for seg_range, _ in trace.scenario.reference.segments(trace.rounds):
         ks = [k for k in seg_range]
         # Leaders move to the new reference one round after a step change,
         # so start nesting once the envelope actually contains it.
@@ -379,9 +360,9 @@ def contraction_oracle(trace: Trace) -> bool:
     second-order traces) sampled every (w + 1) * K rounds strictly decreases
     from one sample to the next while it is above 0.
     """
-    period = (len(trace.normal_followers) + 1) * trace.K
+    period = (len(trace.normal_followers) + 1) * trace.scenario.schedule.max_interval_length
     series = trace.V_hat if trace.second_order else trace.V
-    k1 = trace.reference.pieces[-1][0]
+    k1 = trace.scenario.reference.pieces[-1][0]
     if k1 > 0:
         k1 += 1  # leaders adopt a step change one round later
     elif trace.second_order:
@@ -395,7 +376,7 @@ def two_step_identity_deviation(trace: Trace) -> float:
     second-order update; should vanish to rounding error."""
     if not trace.second_order:
         raise EngineError("two-step identity applies to second-order traces")
-    T, beta = trace.params.T, trace.params.beta
+    T, beta = trace.scenario.params.T, trace.scenario.params.beta
     worst = 0.0
     for k in range(1, len(trace.retained_mean)):
         for i in trace.normal_followers:
@@ -418,11 +399,12 @@ def write_trace_csv(trace: Trace, path: FsPath | str) -> None:
     """One row per (round, node), as csv excel-dialect text (CRLF line
     ends; no field needs quoting), one write per round."""
     second = trace.second_order
+    scenario = trace.scenario
     heads = []
-    for i in range(1, trace.n + 1):
-        if i in trace.adversaries:
+    for i in range(1, scenario.schedule.n + 1):
+        if i in scenario.adversaries:
             role = "adversary"
-        elif i in trace.leaders:
+        elif i in scenario.leaders:
             role = "leader"
         else:
             role = "follower"

@@ -21,7 +21,6 @@ class DiGraph:
 
     n: int
     edges: frozenset[tuple[int, int]]
-    name: str = ""
 
     def __post_init__(self):
         if self.n < 1:
@@ -33,8 +32,8 @@ class DiGraph:
                 raise GraphError(f"edge ({j},{i}) outside node range 1..{self.n}")
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[Sequence[int]], name: str = "") -> "DiGraph":
-        return DiGraph(n, frozenset((int(j), int(i)) for j, i in edges), name)
+    def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "DiGraph":
+        return DiGraph(n, frozenset((int(j), int(i)) for j, i in edges))
 
     @property
     def nodes(self) -> range:
@@ -61,9 +60,7 @@ class DiGraph:
         """Subgraph induced by a node set (node ids unchanged)."""
         keep = set(keep)
         return DiGraph(
-            self.n,
-            frozenset((j, i) for (j, i) in self.edges if j in keep and i in keep),
-            self.name,
+            self.n, frozenset((j, i) for (j, i) in self.edges if j in keep and i in keep)
         )
 
 
@@ -229,7 +226,7 @@ def compact(g: DiGraph, keep: Iterable[int]) -> tuple[DiGraph, dict[int, int]]:
         for (j, i) in g.edges
         if j in mapping and i in mapping
     )
-    return DiGraph(len(kept), edges, g.name), mapping
+    return DiGraph(len(kept), edges), mapping
 
 
 def compact_schedule(

@@ -338,12 +338,9 @@ def strongly_robust_wrt_leaders(g: DiGraph, leaders, r: int) -> bool:
     """Every nonempty S outside the leader set contains a node with at
     least r direct in-neighbors outside S. (The one-hop union-graph
     condition from the sliding-window literature; strictly stronger than
-    the robust-following property at matching thresholds.) Decided by
-    peeling, as in ``_interval_violation``."""
-    leaders = frozenset(leaders)
-    rest = sorted(set(g.nodes) - leaders)
-    inn = {i: nodes_bit(g.in_neighbors(i)) for i in rest}
-    return _peel(rest, lambda i, S: (inn[i] & ~S).bit_count() >= r) is None
+    the robust-following property at matching thresholds.) Decided by the
+    exact checker: it is r-robust following with one hop and f = 0."""
+    return is_robust_following_static(g, leaders, r, 1, 0).holds
 
 
 def direct_leader_followers(g: DiGraph, leaders) -> frozenset[int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
@@ -86,9 +87,24 @@ def _require(data, what: str, keys: tuple[str, ...], optional: tuple[str, ...] =
         raise ScenarioError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}")
 
 
+def _exponent_loader(base: type) -> type:
+    """``base`` with one more implicit float: YAML 1.1 needs a dot in a float,
+    so without it ``1e-6`` would be read as a string."""
+
+    class Loader(base):
+        pass
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"),
+        list("-+0123456789"),
+    )
+    return Loader
+
+
 # libyaml's parser when PyYAML is built with it. Both loaders build the data
 # with the same Python constructor and resolver, so they give the same values.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_LOADER = _exponent_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def _load_mapping(path: FsPath | str, what: str) -> dict:
@@ -120,7 +136,7 @@ def _parse_graph(n: int, name: str, spec: dict) -> DiGraph:
     if not edges:
         raise ScenarioError(f"graph {name!r} has no edges")
     try:
-        return DiGraph.from_edges(n, edges, name)
+        return DiGraph.from_edges(n, edges)
     except GraphError as e:
         raise ScenarioError(f"graph {name!r}: {e}") from e
 
@@ -255,7 +271,6 @@ class Scenario:
     tol: float = 1e-6
     window: int = 50
     max_rounds: int = 2000
-    budget: int | None = None  # explicit round budget; None = max_rounds
 
     @property
     def second_order(self) -> bool:
@@ -301,8 +316,6 @@ class Scenario:
             errors.append(f"tolerance must be positive and finite, got {self.tol}")
         if self.window < 1 or self.max_rounds < 1:
             errors.append("window and max_rounds must be >= 1")
-        if self.budget is not None and self.budget < 0:
-            errors.append(f"budget must be >= 0, got {self.budget}")
         values = {
             f"init[{i}]": [v for vals in per_axis for v in vals]
             for i, per_axis in self.init.items()
@@ -316,7 +329,9 @@ class Scenario:
             errors.append(f"non-finite values in {', '.join(bad)}")
         if not self.leaders:
             errors.append("at least one leader required")
-        for i in sorted(set(self.init) | set(self.delta) | set(self.scripts)):
+        ids = set(self.init) | set(self.delta) | set(self.scripts)
+        ids.update(r for s in self.scripts.values() for members, _ in s.groups for r in members)
+        for i in sorted(ids):
             if not (1 <= i <= n):
                 errors.append(f"node id {i} outside 1..{n}")
         need = self.followers - self.adversaries
@@ -327,10 +342,11 @@ class Scenario:
             errors.append(f"missing initial values for followers {missing}")
         if self.second_order and self.params is None:
             errors.append("second-order scenario requires T and beta")
-        if not self.second_order:
-            for i, per_axis in self.init.items():
-                if any(len(vals) != 1 for vals in per_axis):
-                    errors.append(f"first-order init for node {i} must be a scalar")
+        for i, per_axis in self.init.items():
+            if not self.second_order and any(len(vals) != 1 for vals in per_axis):
+                errors.append(f"first-order init for node {i} must be a scalar")
+            elif any(len(vals) not in (1, 2) for vals in per_axis):
+                errors.append(f"second-order init for node {i} must be [x] or [x, v] per axis")
         if self.l >= 1:  # l < 1 is reported above and has no l-hop neighborhoods
             report = validate_f_local(self.adversaries, self.schedule, self.l, self.f)
             if not report.f_local:
@@ -384,7 +400,8 @@ class Scenario:
                 "tol": self.tol,
                 "window": self.window,
                 "max_rounds": self.max_rounds,
-                "budget": self.budget,
+                # A constant: the key stays so that pinned fingerprints stay valid.
+                "budget": None,
             },
             sort_keys=True,
             default=list,
@@ -393,7 +410,7 @@ class Scenario:
 
 
 def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenario:
-    optional = ("axes", "init", "delta", "adversaries", "tol", "window", "max_rounds", "budget")
+    optional = ("axes", "init", "delta", "adversaries", "tol", "window", "max_rounds")
     if isinstance(data, dict) and data.get("algorithm") == "mdp-msr":
         optional += ("T", "beta")  # only the second-order algorithm reads them
     _require(data, "scenario", ("topology", "algorithm", "f", "l", "reference"), optional)
@@ -458,7 +475,6 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
         tol=_scalar(data, "tol", _float, 1e-6),
         window=_scalar(data, "window", _int, 50),
         max_rounds=_scalar(data, "max_rounds", _int, 2000),
-        budget=_scalar(data, "budget", _int),
     )
 
 

@@ -228,7 +228,6 @@ def stall_replay(topology, f, rounds=1000):
         reference=ReferenceFunction.constant(1.0),
         init=init,
         scripts=scripts,
-        budget=rounds,
         max_rounds=rounds,
     )
     trace = run(scenario).traces[0]

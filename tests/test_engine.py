@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 
 import pytest
@@ -58,7 +59,7 @@ class TestRun:
         a = run(make_scenario())
         b = run(make_scenario())
         assert a.traces[0].x == b.traces[0].x
-        assert a.traces[0].fingerprint == b.traces[0].fingerprint
+        assert a.traces[0].scenario.fingerprint() == b.traces[0].scenario.fingerprint()
 
     def test_validation_failures_abort(self):
         bad = make_scenario(tol=-1.0)
@@ -71,7 +72,6 @@ class TestRun:
             schedule=TopologySchedule.static(g),
             init={2: ((4.0,),), 3: ((2.5,),)},
             max_rounds=10,
-            budget=10,
         )
         trace = run(sc).traces[0]
         assert all(trace.x[k][3] == 2.5 for k in range(trace.rounds))
@@ -163,7 +163,7 @@ class TestConvergenceReport:
     def test_run_cut_before_last_step_is_not_converged(self):
         ref = ReferenceFunction(((0, 1.0), (300, 2.0)))
         trace = run(make_scenario(reference=ref, max_rounds=200)).traces[0]
-        report = convergence_report(trace, 1e-9, 5)
+        report = convergence_report(trace)
         assert [seg.converged for seg in report.segments] == [True]
         assert not report.converged
         assert report.round_of_convergence is None
@@ -171,8 +171,9 @@ class TestConvergenceReport:
 
     def test_rejects_bad_tolerance(self):
         trace = run(make_scenario()).traces[0]
+        trace.scenario = dataclasses.replace(trace.scenario, tol=-1.0)
         with pytest.raises(EngineError):
-            convergence_report(trace, -1.0, 5)
+            convergence_report(trace)
 
     def test_stalled_classification(self, net9):
         schedule, leaders = net9
@@ -191,7 +192,6 @@ class TestConvergenceReport:
             reference=ReferenceFunction.constant(1.0),
             init=full,
             scripts=scripts,
-            budget=200,
             max_rounds=200,
         )
         result = run(sc)
@@ -225,10 +225,6 @@ class TestConvergenceReport:
 
 
 class TestBudget:
-    def test_explicit_budget_wins(self):
-        sc = make_scenario(budget=17)
-        assert run(sc).traces[0].rounds == 18
-
     def test_capped_by_max_rounds(self):
         sc = make_scenario(max_rounds=50)
         assert run(sc).traces[0].rounds == 51
@@ -286,7 +282,7 @@ class TestTraceOutput:
         write_trace_csv(trace, out)
         rows = list(csv.reader(open(out)))
         assert rows[0] == ["round", "node", "role", "x", "V", "V_hat"]
-        assert len(rows) == 1 + trace.rounds * trace.n
+        assert len(rows) == 1 + trace.rounds * trace.scenario.schedule.n
         roles = {r[2] for r in rows[1:]}
         assert roles == {"leader", "follower"}
 
@@ -335,11 +331,12 @@ def reference_write_trace_csv(trace, path):
             header.append("v")
         header += ["V", "V_hat"]
         writer.writerow(header)
+        scenario = trace.scenario
         for k in range(trace.rounds):
-            for i in range(1, trace.n + 1):
-                if i in trace.adversaries:
+            for i in range(1, scenario.schedule.n + 1):
+                if i in scenario.adversaries:
                     role = "adversary"
-                elif i in trace.leaders:
+                elif i in scenario.leaders:
                     role = "leader"
                 else:
                     role = "follower"

@@ -75,7 +75,7 @@ def loader(request, monkeypatch):
     """Runs a test with the module's YAML loader (libyaml's when PyYAML has
     it) and again with the pure-Python one it falls back to."""
     if request.param == "fallback":
-        monkeypatch.setattr(scenario_mod, "_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(scenario_mod, "_LOADER", scenario_mod._exponent_loader(yaml.SafeLoader))
 
 
 class TestTopologyParsing:
@@ -345,13 +345,6 @@ class TestCli:
         assert res.exit_code == 3
         assert "classification: budget-exhausted" in res.output
 
-    def test_max_rounds_caps_file_budget(self, tmp_path):
-        p = tmp_path / "capped.yaml"
-        p.write_text(corpus_path("fig4a_1hop").read_text() + "\nbudget: 300\n")
-        res = self.invoke("simulate", "--scenario", str(p), "--max-rounds", "10")
-        assert res.exit_code == 3
-        assert "rounds simulated: 11" in res.output
-
     def test_simulate_overflowing_mean_exits_1(self, tmp_path):
         # Finite values that validate accepts, but whose sum overflows a float.
         data = yaml.safe_load(corpus_path("fig4a_1hop").read_text())
@@ -453,6 +446,7 @@ UNKNOWN_KEYS = {
     "group": ("scenario", ("adversaries", 0, "emit", "groups", 0), "members", [3]),
     "emit-waveform": ("scenario", ("adversaries", 0, "emit"), "amp", 1.0),
     "first-order-T": ("scenario", (), "T", 0.1),
+    "budget": ("scenario", (), "budget", 300),
 }
 
 # (kind, path, the field the error names); the value there becomes 1.9 or True.
@@ -468,7 +462,6 @@ INTEGER_FIELDS = {
     "axes": ("scenario", ("axes",), "'axes'"),
     "window": ("scenario", ("window",), "'window'"),
     "max_rounds": ("scenario", ("max_rounds",), "'max_rounds'"),
-    "budget": ("scenario", ("budget",), "'budget'"),
     "piece-start": ("scenario", ("reference", 1, 0), "'reference'"),
     "adversary-node": ("scenario", ("adversaries", 0, "node"), "'adversaries'"),
     "period": ("scenario", ("adversaries", 0, "emit", "default", "period"), "'adversaries'"),
@@ -491,6 +484,10 @@ FLOAT_FIELDS = {
     "group-amplitude": (("adversaries", 0, "emit", "groups", 0, "amplitude"),
                         "'adversaries'"),
 }
+
+
+# A two-axis second-order scenario on the mini topology, init aside.
+SECOND_ORDER_2D = {"algorithm": "mdp-msr", "T": 0.8, "beta": 1.65, "axes": 2, "delta": {}}
 
 
 class TestMalformedInput:
@@ -528,7 +525,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("where", INTEGER_FIELDS)
     def test_integer_field_is_not_truncated(self, workspace, where, bad):
         kind, path, field = INTEGER_FIELDS[where]
-        scenario = {**SCENARIO, "axes": 1, "window": 50, "max_rounds": 100, "budget": 10,
+        scenario = {**SCENARIO, "axes": 1, "window": 50, "max_rounds": 100,
                     "reference": [[0, 1.0], [5, 2.0]]}
         data = TOPOLOGY if kind == "topology" else scenario
         with pytest.raises(ScenarioError, match=f"{re.escape(field)}.*expected an integer"):
@@ -576,10 +573,18 @@ class TestMalformedInput:
             }}]}, "non-finite values in adversary 4"),
             ({"tol": float("nan")}, "tolerance must be positive and finite"),
             ({"tol": float("inf")}, "tolerance must be positive and finite"),
-            ({"budget": -1}, "budget must be >= 0"),
+            ({**SECOND_ORDER_2D, "init": {2: [[], [2.4, 0.0]], 3: [5.0, 1.0]}},
+             "second-order init for node 2 must be [x] or [x, v] per axis"),
+            ({**SECOND_ORDER_2D, "init": {2: [[4.6, 0.0, 9.0], [2.4, 0.0]], 3: [5.0, 1.0]}},
+             "second-order init for node 2 must be [x] or [x, v] per axis"),
+            ({"adversaries": [{"node": 4, "emit": {
+                "default": {"center": 2.0},
+                "groups": [{"receivers": [99, 2], "center": 1.0}],
+            }}]}, "node id 99 outside 1..4"),
         ],
         ids=["init-nan", "delta-inf", "center-inf", "group-amplitude-nan",
-             "tol-nan", "tol-inf", "budget-negative"],
+             "tol-nan", "tol-inf", "second-order-init-empty-axis",
+             "second-order-init-three-values", "receiver-outside"],
     )
     def test_invalid_value_fails_validate_and_simulate(self, workspace, over, message):
         p = workspace / "scn.yaml"
@@ -647,6 +652,23 @@ class TestLoader:
             data = scenario_mod._load_mapping(path, "input")
             expected = yaml.load(path.read_bytes(), Loader=yaml.SafeLoader)
             assert data == expected and repr(data) == repr(expected), path
+
+    def test_dotless_exponent_is_a_float(self, loader, tmp_path):
+        text = corpus_path("fig4a_1hop").read_text()
+        for name, tol, init in (("dot", "1.0e-6", "1.0"), ("dotless", "1e-6", "1e0")):
+            (tmp_path / name).mkdir()
+            p = tmp_path / name / "fig4a_1hop.yaml"
+            p.write_text(text.replace("tol: 1.0e-6", f"tol: {tol}").replace("  1: 1.3", f"  1: {init}"))
+        dot, dotless = (load_scenario(tmp_path / n / "fig4a_1hop.yaml") for n in ("dot", "dotless"))
+        assert dotless.tol == 1e-6 and dotless.init[1] == ((1.0,),)
+        assert dotless.fingerprint() == dot.fingerprint()
+        data = yaml.load("a: 1E5\nb: -2e+3\nc: '1e-6'\n", Loader=scenario_mod._LOADER)
+        assert data == {"a": 100000.0, "b": -2000.0, "c": "1e-6"}
+
+    def test_pyyaml_loaders_are_unchanged(self):
+        bases = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+        for base in bases:
+            assert yaml.load("a: 1e-6", Loader=base) == {"a": "1e-6"}
 
     def test_invalid_bytes_are_malformed_yaml(self, loader, tmp_path):
         p = tmp_path / "bad.yaml"

@@ -32,7 +32,7 @@ def test_every_traced_name_resolves_and_every_metric_is_reported(tmp_path):
         secure = scenario.load_scenario(scenario.corpus_path("secure_leader"))
         engine.run(secure, tmp_path)
         deep = scenario.load_scenario(scenario.corpus_path("fig4b_3hop"))
-        engine.run(dataclasses.replace(deep, budget=20))
+        engine.run(dataclasses.replace(deep, max_rounds=20))
         schedule, leaders = scenario.load_topology(scenario.corpus_path("net9"))
         query = robustness.RobustnessQuery(schedule, leaders, 2, 1, 1)
         robustness.is_jointly_robust_following(query)
