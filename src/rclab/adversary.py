@@ -9,10 +9,13 @@ receiver, so any attack replays exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .graphs import TopologySchedule, in_neighbors_l
-from .robustness import Certificate
+
+if TYPE_CHECKING:
+    from .robustness import Certificate
 
 
 class AdversaryError(ValueError):

@@ -12,7 +12,6 @@ from pathlib import Path as FsPath
 
 import click
 
-from . import engine as engine_mod
 from .robustness import (
     RobustnessQuery,
     is_jointly_robust_following,
@@ -81,11 +80,13 @@ def cli_check_robustness(topology, r_param, l_param, f_param, strict_relays):
 @click.option("--summary", is_flag=True, help="Print the convergence report only.")
 def cli_simulate(scenario_ref, out_dir, max_rounds, summary):
     """Run a scenario and report convergence."""
+    from .engine import run  # the checker's commands need no simulator
+
     try:
         scenario = load_scenario(resolve_file(scenario_ref))
         if max_rounds is not None:
             scenario = dataclasses.replace(scenario, max_rounds=max_rounds)
-        result = engine_mod.run(scenario, out_dir)
+        result = run(scenario, out_dir)
     except (ScenarioError, ValueError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)

@@ -214,8 +214,9 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
             res = max(res, max((abs(v[i]) for i in normal_followers), default=0.0))
         trace.residual.append(res)
 
-        run_length = run_length + 1 if res <= scenario.tol else 0
-        if run_length >= scenario.window and k >= last_piece_start:
+        # Counted within the last reference segment, as convergence_report does.
+        run_length = run_length + 1 if res <= scenario.tol and k >= last_piece_start else 0
+        if run_length >= scenario.window:
             break
         if k == max_rounds:
             break

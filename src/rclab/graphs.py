@@ -212,34 +212,35 @@ def union_graph(s: TopologySchedule, index_range: range | None = None) -> DiGrap
     return DiGraph(s.n, frozenset(edges))
 
 
-def compact(g: DiGraph, keep: Iterable[int]) -> tuple[DiGraph, dict[int, int]]:
-    """Induced subgraph on ``keep``, relabeled to 1..m preserving id order.
-
-    Returns the relabeled graph and the old->new id mapping.
-    """
-    kept = sorted(set(keep))
-    for i in kept:
-        g.check_node(i)
-    mapping = {old: new for new, old in enumerate(kept, start=1)}
-    edges = frozenset(
-        (mapping[j], mapping[i])
-        for (j, i) in g.edges
-        if j in mapping and i in mapping
+def direct_leader_followers(g: DiGraph, leaders) -> frozenset[int]:
+    """W_L: followers with a direct in-edge from some leader."""
+    leaders = frozenset(leaders)
+    return frozenset(
+        i for (j, i) in g.edges if j in leaders and i not in leaders
     )
-    return DiGraph(len(kept), edges), mapping
 
 
 def compact_schedule(
     s: TopologySchedule, keep: Iterable[int]
 ) -> tuple[TopologySchedule, dict[int, int]]:
-    """Schedule-wide compacting relabel; all graphs share the mapping."""
+    """Subgraphs induced by ``keep``, relabeled to 1..m preserving id order;
+    every graph shares the returned old->new id mapping."""
     kept = sorted(set(keep))
-    graphs = []
-    mapping: dict[int, int] = {}
-    for g in s.graphs:
-        cg, mapping = compact(g, kept)
-        graphs.append(cg)
-    return TopologySchedule(tuple(graphs), s.interval_lengths), mapping
+    for i in kept:
+        s.graphs[0].check_node(i)
+    mapping = {old: new for new, old in enumerate(kept, start=1)}
+    graphs = tuple(
+        DiGraph(
+            len(kept),
+            frozenset(
+                (mapping[j], mapping[i])
+                for (j, i) in g.edges
+                if j in mapping and i in mapping
+            ),
+        )
+        for g in s.graphs
+    )
+    return TopologySchedule(graphs, s.interval_lengths), mapping
 
 
 # Bitmask helpers for the message-cover solver.

@@ -22,6 +22,7 @@ from .graphs import (
     TopologySchedule,
     all_paths_into,
     bit_nodes,
+    direct_leader_followers,
     in_neighbors_l,
     nodes_bit,
     union_graph,
@@ -112,33 +113,11 @@ def _path_masks(paths, relays_inside_s: bool) -> list[tuple[int, int]]:
     return out
 
 
-def independent_path_count(
-    g: DiGraph,
-    S: frozenset[int] | set[int],
-    i: int,
-    l: int,
-    forbidden: frozenset[int] = frozenset(),
-    relays_inside_s: bool = True,
-    target: int | None = None,
-) -> int:
-    """Maximum number of pairwise-independent paths of length <= l ending at
-    i that originate outside S. Paths share no node except i.
-
-    ``forbidden`` nodes are excluded entirely (removal set F already taken
-    out of the graph). With ``target`` set, counting stops once reached.
-    """
-    S = frozenset(S)
-    if i not in S:
-        raise GraphError(f"node {i} must belong to S")
-    Smask, Fmask = nodes_bit(S), nodes_bit(forbidden)
-    masks = [
-        body
-        for block, body in _path_masks(all_paths_into(g, i, l), relays_inside_s)
-        if not (block & Smask or body & Fmask)
-    ]
-    if not masks:
-        return 0
-    return _max_disjoint_paths(masks, target=target)
+def _reachable(paths: list[tuple[int, int]], S: int, Fmask: int, r: int) -> bool:
+    """Do r of ``paths`` (``_path_masks`` of one node at one step) serve S
+    (as a bitmask), avoid ``Fmask`` and share no node but their endpoint?"""
+    masks = [body for block, body in paths if not (block & S or body & Fmask)]
+    return len(masks) >= r and _max_disjoint_paths(masks, target=r) >= r
 
 
 def jointly_reachable(
@@ -153,21 +132,21 @@ def jointly_reachable(
 ) -> tuple[bool, int | None]:
     """Is node i a jointly r-reachable follower with l hops in the interval?
 
+    That is: at some time of the interval, r paths of length <= l end at i,
+    originate outside S and share no node but i. ``forbidden`` nodes (the
+    removal set F) are on no path, and a forbidden i is never reachable.
     Returns (holds, witness time K_i). The count is evaluated on single
     time-step graphs; the interval only supplies the candidate times.
     """
     S = frozenset(S)
     if i not in S:
         raise GraphError(f"node {i} must belong to S")
-    forbidden = frozenset(forbidden)
+    if i in forbidden:
+        return False, None
+    Smask, Fmask = nodes_bit(S), nodes_bit(forbidden)
     for k in interval:
-        g = schedule.graph_at(k)
-        if forbidden:
-            g = g.induced(set(g.nodes) - forbidden)
-        cnt = independent_path_count(
-            g, S, i, l, forbidden=forbidden, relays_inside_s=relays_inside_s, target=r
-        )
-        if cnt >= r:
+        paths = _path_masks(all_paths_into(schedule.graph_at(k), i, l), relays_inside_s)
+        if _reachable(paths, Smask, Fmask, r):
             return True, k
     return False, None
 
@@ -272,8 +251,7 @@ def _interval_violation(
         for key, g in zip(keys, graphs):
             if (key, i) not in paths:
                 paths[key, i] = _path_masks(all_paths_into(g, i, l), relays_inside_s)
-            masks = [m for b, m in paths[key, i] if not (b & S or m & Fmask)]
-            if len(masks) >= r and _max_disjoint_paths(masks, target=r) >= r:
+            if _reachable(paths[key, i], S, Fmask, r):
                 return True
         return False
 
@@ -325,12 +303,10 @@ def is_jointly_robust_following(q: RobustnessQuery) -> RobustnessVerdict:
 
 
 def is_robust_following_static(
-    g: DiGraph, leaders, r: int, l: int, f: int, **kw
+    g: DiGraph, leaders, r: int, l: int, f: int
 ) -> RobustnessVerdict:
     """Static version: single-graph schedule with a unit interval."""
-    q = RobustnessQuery(
-        TopologySchedule.static(g), frozenset(leaders), r=r, l=l, f=f, **kw
-    )
+    q = RobustnessQuery(TopologySchedule.static(g), frozenset(leaders), r=r, l=l, f=f)
     return is_jointly_robust_following(q)
 
 
@@ -341,14 +317,6 @@ def strongly_robust_wrt_leaders(g: DiGraph, leaders, r: int) -> bool:
     the robust-following property at matching thresholds.) Decided by the
     exact checker: it is r-robust following with one hop and f = 0."""
     return is_robust_following_static(g, leaders, r, 1, 0).holds
-
-
-def direct_leader_followers(g: DiGraph, leaders) -> frozenset[int]:
-    """W_L: followers with a direct in-edge from some leader."""
-    leaders = frozenset(leaders)
-    return frozenset(
-        i for (j, i) in g.edges if j in leaders and i not in leaders
-    )
 
 
 def necessary_conditions(q: RobustnessQuery) -> list[tuple[str, bool]]:

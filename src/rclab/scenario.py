@@ -26,9 +26,9 @@ from .graphs import (
     GraphError,
     TopologySchedule,
     compact_schedule,
+    direct_leader_followers,
     union_graph,
 )
-from .robustness import direct_leader_followers
 
 
 class ScenarioError(ValueError):
@@ -75,6 +75,13 @@ def _float(value) -> float:
     return float(value)
 
 
+def _pair(value) -> list:
+    """``value`` if it is a two-item list; a mapping is not unpacked into its keys."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise TypeError(f"expected a pair [a, b], got {value!r}")
+    return value
+
+
 def _require(data, what: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
     """``data`` is a mapping with every key of ``keys`` and no other but ``optional``."""
     if not isinstance(data, dict):
@@ -88,16 +95,17 @@ def _require(data, what: str, keys: tuple[str, ...], optional: tuple[str, ...] =
 
 
 def _exponent_loader(base: type) -> type:
-    """``base`` with one more implicit float: YAML 1.1 needs a dot in a float,
-    so without it ``1e-6`` would be read as a string."""
+    """``base`` with one more implicit float: YAML 1.1 needs a dot in a float
+    and a sign in its exponent, so without it ``1e-6`` and ``1.5e3`` would be
+    read as strings."""
 
     class Loader(base):
         pass
 
     Loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",
-        re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"),
-        list("-+0123456789"),
+        re.compile(r"^[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"),
     )
     return Loader
 
@@ -128,10 +136,10 @@ def _parse_graph(n: int, name: str, spec: dict) -> DiGraph:
     _require(spec, f"graph {name!r}", (), ("edges", "undirected_edges"))
     edges: list[tuple[int, int]] = []
     with _field(f"graphs.{name}.edges"):
-        for j, i in spec.get("edges", []):
+        for j, i in map(_pair, spec.get("edges", [])):
             edges.append((_int(j), _int(i)))
     with _field(f"graphs.{name}.undirected_edges"):
-        for a, b in spec.get("undirected_edges", []):
+        for a, b in map(_pair, spec.get("undirected_edges", [])):
             edges += [(_int(a), _int(b)), (_int(b), _int(a))]
     if not edges:
         raise ScenarioError(f"graph {name!r} has no edges")
@@ -208,9 +216,9 @@ def _parse_waveform(spec: dict, what: str, extra: tuple[str, ...] = ()) -> Wavef
     _require(spec, f"{what} waveform", ("center",), ("amplitude", "period", "waveform") + extra)
     return Waveform(
         center=_float(spec["center"]),
-        amplitude=_float(spec.get("amplitude", 0.3)),
-        period=_int(spec.get("period", 2)),
-        kind=str(spec.get("waveform", "square")),
+        amplitude=_float(spec.get("amplitude", Waveform.amplitude)),
+        period=_int(spec.get("period", Waveform.period)),
+        kind=str(spec.get("waveform", Waveform.kind)),
     )
 
 
@@ -235,8 +243,8 @@ def _parse_script(spec: dict) -> AttackScript:
         node=node,
         default=default,
         groups=groups,
-        model=str(spec.get("model", "byzantine")),
-        relay_mode=str(spec.get("relay", "same")),
+        model=str(spec.get("model", AttackScript.model)),
+        relay_mode=str(spec.get("relay", AttackScript.relay_mode)),
     )
 
 
@@ -347,7 +355,7 @@ class Scenario:
                 errors.append(f"first-order init for node {i} must be a scalar")
             elif any(len(vals) not in (1, 2) for vals in per_axis):
                 errors.append(f"second-order init for node {i} must be [x] or [x, v] per axis")
-        if self.l >= 1:  # l < 1 is reported above and has no l-hop neighborhoods
+        if self.f >= 0 and self.l >= 1:  # else reported above, with nothing to check
             report = validate_f_local(self.adversaries, self.schedule, self.l, self.f)
             if not report.f_local:
                 i, k = report.witness
@@ -419,12 +427,12 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
     if algorithm not in ALGORITHMS:
         raise ScenarioError(f"unknown algorithm {algorithm!r}")
     f_param, l_param = _scalar(data, "f", _int), _scalar(data, "l", _int)
-    axes = _scalar(data, "axes", _int, 1)
+    axes = _scalar(data, "axes", _int, Scenario.axes)
 
     with _field("reference"):
         ref_raw = data["reference"]
         if isinstance(ref_raw, list):
-            reference = ReferenceFunction(tuple((_int(s), _float(v)) for s, v in ref_raw))
+            reference = ReferenceFunction(tuple((_int(s), _float(v)) for s, v in map(_pair, ref_raw)))
         else:
             reference = ReferenceFunction.constant(_float(ref_raw))
 
@@ -472,9 +480,9 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
         init=init,
         delta=delta,
         scripts=scripts,
-        tol=_scalar(data, "tol", _float, 1e-6),
-        window=_scalar(data, "window", _int, 50),
-        max_rounds=_scalar(data, "max_rounds", _int, 2000),
+        tol=_scalar(data, "tol", _float, Scenario.tol),
+        window=_scalar(data, "window", _int, Scenario.window),
+        max_rounds=_scalar(data, "max_rounds", _int, Scenario.max_rounds),
     )
 
 

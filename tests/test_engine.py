@@ -212,6 +212,28 @@ class TestConvergenceReport:
         assert report.classification == "converged"
         assert report.residual == 0.0
 
+    @pytest.mark.parametrize(
+        "step, init",
+        [(1.0, 1.0), (1.0 + 1e-7, None)],
+        ids=["constant-step-at-rest", "step-below-tol"],
+    )
+    def test_stop_rule_counts_within_last_segment(self, step, init):
+        # The residual is within tol across the step at round 100 or 300, so
+        # the loop must not stop there: the report counts its window within
+        # the last segment only, and would find that segment too short.
+        base = corpus_scenario("fig4b_3hop")
+        start = 100 if init is not None else 300
+        sc = dataclasses.replace(
+            base,
+            reference=ReferenceFunction(((0, 1.0), (start, step))),
+            init=base.init if init is None else {i: ((init,),) for i in base.init},
+        )
+        result = run(sc)
+        report = result.reports[0]
+        assert report.classification == "converged"
+        assert result.traces[0].rounds == start + sc.window
+        assert report.round_of_convergence == start
+
     def test_staircase_segments(self):
         sc = make_scenario(
             reference=ReferenceFunction(((0, 1.0), (100, 3.0))),

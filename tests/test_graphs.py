@@ -7,7 +7,6 @@ from rclab.graphs import (
     Path,
     TopologySchedule,
     all_paths_into,
-    compact,
     compact_schedule,
     in_neighbors_l,
     union_graph,
@@ -164,10 +163,10 @@ class TestTopologySchedule:
 class TestCompact:
     def test_relabel_preserves_structure(self):
         g = DiGraph.from_edges(5, [(2, 4), (4, 5), (1, 2)])
-        cg, mapping = compact(g, {2, 4, 5})
+        cs, mapping = compact_schedule(TopologySchedule.static(g), {2, 4, 5})
         assert mapping == {2: 1, 4: 2, 5: 3}
-        assert cg.n == 3
-        assert cg.edges == {(1, 2), (2, 3)}
+        assert cs.n == 3
+        assert cs.graphs[0].edges == {(1, 2), (2, 3)}
 
     def test_schedule_compact(self):
         a = DiGraph.from_edges(4, [(1, 2), (3, 4)])

@@ -20,7 +20,6 @@ from rclab.robustness import (
     RobustnessVerdict,
     _max_disjoint_paths,
     f_local_sets,
-    independent_path_count,
     is_jointly_robust_following,
     is_robust_following_static,
     jointly_reachable,
@@ -123,26 +122,43 @@ def random_schedule(rng, n):
     return TopologySchedule(graphs, (cut, period - cut) if cut < period else (period,))
 
 
+def reachable_r(g, S, i, l, forbidden=frozenset(), relays_inside_s=True):
+    """Largest r for which ``jointly_reachable`` accepts i on the static
+    schedule of g: the number of independent paths into i."""
+    s = TopologySchedule.static(g)
+    r = 0
+    while jointly_reachable(s, range(1), S, i, r + 1, l, forbidden, relays_inside_s)[0]:
+        r += 1
+    return r
+
+
 class TestIndependentPaths:
     def test_requires_membership(self):
         g = DiGraph.from_edges(3, [(1, 2)])
         with pytest.raises(GraphError):
-            independent_path_count(g, {3}, 2, 1)
+            jointly_reachable(TopologySchedule.static(g), range(1), {3}, 2, 1, 1)
 
     def test_direct_neighbors(self):
         g = DiGraph.from_edges(4, [(1, 4), (2, 4), (3, 4)])
-        assert independent_path_count(g, {4}, 4, 1) == 3
+        assert reachable_r(g, {4}, 4, 1) == 3
 
     def test_shared_relay_counts_once(self):
         # two sources funneled through one relay: only one independent path
         g = DiGraph.from_edges(4, [(1, 3), (2, 3), (3, 4)])
-        assert independent_path_count(g, {4}, 4, 2) == 1
+        assert reachable_r(g, {4}, 4, 2) == 1
 
     def test_relay_inside_s_modes(self):
         # source 1 reaches 4 only through node 3, which sits inside S
         g = DiGraph.from_edges(4, [(1, 3), (3, 4)])
-        assert independent_path_count(g, {3, 4}, 4, 2, relays_inside_s=True) == 1
-        assert independent_path_count(g, {3, 4}, 4, 2, relays_inside_s=False) == 0
+        assert reachable_r(g, {3, 4}, 4, 2, relays_inside_s=True) == 1
+        assert reachable_r(g, {3, 4}, 4, 2, relays_inside_s=False) == 0
+
+    def test_forbidden_node_is_never_reachable(self):
+        g = DiGraph.from_edges(4, [(1, 4), (2, 4), (3, 4)])
+        s = TopologySchedule.static(g)
+        assert jointly_reachable(s, range(1), {4}, 4, 1, 1, forbidden={4}) == (False, None)
+        assert jointly_reachable(s, range(1), {4}, 4, 3, 1, forbidden={1}) == (False, None)
+        assert jointly_reachable(s, range(1), {4}, 4, 2, 1, forbidden={1}) == (True, 0)
 
     @given(st.integers(3, 6), st.integers(1, 2), st.randoms())
     def test_matches_brute_force(self, n, l, rng):
@@ -155,9 +171,10 @@ class TestIndependentPaths:
         g = DiGraph.from_edges(n, edges)
         members = {m for m in range(2, n + 1) if rng.random() < 0.5} | {1}
         S = frozenset(members)
+        F = frozenset(m for m in range(2, n + 1) if rng.random() < 0.2)
         for mode in (True, False):
-            got = independent_path_count(g, S, 1, l, relays_inside_s=mode)
-            want = brute_independent_paths(g, S, 1, l, relays_inside_s=mode)
+            got = reachable_r(g, S, 1, l, forbidden=F, relays_inside_s=mode)
+            want = brute_independent_paths(g, S, 1, l, forbidden=F, relays_inside_s=mode)
             assert got == want
 
 

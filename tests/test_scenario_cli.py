@@ -220,6 +220,11 @@ class TestValidation:
         errors = self.load(workspace, text).validation_errors()
         assert any("not 1-local" in e for e in errors)
 
+    def test_negative_f_reported_once(self, workspace):
+        # a negative f has no f-local adversary sets to check against
+        errors = self.load(workspace, mini_scenario_yaml(f="-1")).validation_errors()
+        assert errors == ["need f >= 0 and l >= 1, got f=-1 l=1"]
+
     def test_secure_mode_rejects_adversarial_leader(self, workspace):
         text = mini_scenario_yaml(
             algorithm="mw-msr-secure", f="1", init="{3: 5.0, 4: 2.0}",
@@ -397,8 +402,13 @@ MALFORMED = [
     ("topology", {"n": "x"}, "'n'"),
     ("topology", {"graphs": [{"edges": [[1, 2]]}]}, "'graphs'"),
     ("topology", {"graphs": {"g": {"edges": 5}}}, "'graphs.g.edges'"),
+    # A mapping is refused where a pair is due, not unpacked into its keys.
+    ("topology", {"graphs": {"g": {"edges": [{1: None, 2: None}]}}}, "'graphs.g.edges'"),
+    ("topology", {"graphs": {"g": {"undirected_edges": [{1: 0, 2: 0}]}}},
+     "'graphs.g.undirected_edges'"),
     ("scenario", {"init": [3.0, 5.0]}, "'init'"),
     ("scenario", {"reference": "abc"}, "'reference'"),
+    ("scenario", {"reference": [{0: None, 1: None}]}, "'reference'"),
     ("scenario", {"adversaries": [{"emit": {"center": 2.0}}]}, "'adversaries'"),
 ]
 
@@ -493,7 +503,8 @@ SECOND_ORDER_2D = {"algorithm": "mdp-msr", "T": 0.8, "beta": 1.65, "axes": 2, "d
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "kind, over, field", MALFORMED,
-        ids=["n-text", "graphs-list", "edges-int", "init-list", "reference-text", "no-node"],
+        ids=["n-text", "graphs-list", "edges-int", "edges-mapping", "undirected-mapping",
+             "init-list", "reference-text", "reference-mapping", "no-node"],
     )
     def test_malformed_field_is_scenario_error(self, workspace, kind, over, field):
         with pytest.raises(ScenarioError, match=re.escape(field)):
@@ -655,15 +666,24 @@ class TestLoader:
 
     def test_dotless_exponent_is_a_float(self, loader, tmp_path):
         text = corpus_path("fig4a_1hop").read_text()
-        for name, tol, init in (("dot", "1.0e-6", "1.0"), ("dotless", "1e-6", "1e0")):
+        cases = (("dot", "1.0e-6", "1.3"), ("dotless", "1e-6", "13e-1"), ("unsigned", "1.0e-6", "1.3e0"))
+        for name, tol, init in cases:
             (tmp_path / name).mkdir()
             p = tmp_path / name / "fig4a_1hop.yaml"
             p.write_text(text.replace("tol: 1.0e-6", f"tol: {tol}").replace("  1: 1.3", f"  1: {init}"))
-        dot, dotless = (load_scenario(tmp_path / n / "fig4a_1hop.yaml") for n in ("dot", "dotless"))
-        assert dotless.tol == 1e-6 and dotless.init[1] == ((1.0,),)
-        assert dotless.fingerprint() == dot.fingerprint()
-        data = yaml.load("a: 1E5\nb: -2e+3\nc: '1e-6'\n", Loader=scenario_mod._LOADER)
-        assert data == {"a": 100000.0, "b": -2000.0, "c": "1e-6"}
+        dot, dotless, unsigned = (
+            load_scenario(tmp_path / name / "fig4a_1hop.yaml") for name, _, _ in cases
+        )
+        assert dotless.tol == 1e-6 and dotless.init[1] == unsigned.init[1] == ((1.3,),)
+        assert dotless.fingerprint() == unsigned.fingerprint() == dot.fingerprint()
+        floats = {"a": "1E5", "b": "-2e+3", "c": "1.5e3", "d": "6.02e23", "e": "-2.5e10",
+                  "f": ".5e3", "g": "1.e3", "h": "+1.5E-3"}
+        data = yaml.load("".join(f"{k}: {v}\n" for k, v in floats.items()), Loader=scenario_mod._LOADER)
+        assert data == {k: float(v) for k, v in floats.items()}
+        others = "a: 5\nb: 0x1F\nc: 1_000\nd: .inf\ne: 1.5\nf: '1.5e3'\ng: '1e-6'\nh: 1.5e3x\n"
+        data = yaml.load(others, Loader=scenario_mod._LOADER)
+        assert data == {"a": 5, "b": 31, "c": 1000, "d": float("inf"), "e": 1.5,
+                        "f": "1.5e3", "g": "1e-6", "h": "1.5e3x"}
 
     def test_pyyaml_loaders_are_unchanged(self):
         bases = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
