@@ -59,6 +59,10 @@ class AttackScript:
     a malicious node must broadcast identically (no groups allowed).
     ``relay_mode`` is "same" (corrupt the values it relays like its own
     emissions) or "identity" (pass through).
+
+    ``emit`` must be a pure function of (k, receiver): the relay round
+    evaluates each (node, receiver) emission once per round and delivers it
+    on every path whose value the node rewrites last.
     """
 
     node: int

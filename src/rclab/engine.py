@@ -19,7 +19,7 @@ from .agents import (
     second_order_step,
 )
 from .graphs import DiGraph, all_paths_into
-from .messaging import relay_round
+from .messaging import relay_plan, relay_round
 from .scenario import Scenario
 
 
@@ -189,6 +189,9 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
         exchange = schedule.induced(scenario.followers)
     anchor_followers = anchors & normal_followers
     trimming = normal_followers - anchors
+    # The loop reads only what the trimming followers receive; the message
+    # log records what every node receives. One plan per schedule graph.
+    plans = {}
 
     x, v = _initial_axis_state(scenario, axis)
     trace = Trace(scenario, axis)
@@ -223,8 +226,13 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
 
         # Exchange over the round's graph.
         g = exchange.graph_at(k)
-        paths = _paths_for(g, scenario.l)
-        delivered = relay_round(g, x, scenario.l, k, scripts, paths)
+        plan = plans.get(g)
+        if plan is None:
+            paths = _paths_for(g, scenario.l)
+            if message_log is None:
+                paths = {i: paths[i] for i in trimming}
+            plan = plans[g] = relay_plan(paths, scripts)
+        delivered = relay_round(g, x, scenario.l, k, scripts, plan)
         if message_log is not None:
             message_log.record(k, delivered, x, adversaries)
 

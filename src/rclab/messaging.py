@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .graphs import DiGraph, Path, all_paths_into, bit_nodes, nodes_bit
+from .graphs import DiGraph, Path, all_paths_into, bit_nodes
+
+if TYPE_CHECKING:
+    from .adversary import AttackScript
 
 
 class MessageError(ValueError):
@@ -53,17 +56,46 @@ class Message(_MessageFields):
         return self.path.destination
 
 
-class AdversaryHook(Protocol):
-    """Per-node behavior plugged into relay_round for adversarial nodes.
+class RelayPlan(NamedTuple):
+    """Where the value of each delivered path comes from, for one graph, l
+    and set of scripts.
 
-    relay_round calls ``emit`` once per path from the node, with the path's
-    first receiver, and ``relay`` once per path through it, with the value
-    as it arrived and the path's next receiver.
+    A path's value is the emission, to its next receiver, of the last node
+    on the path that rewrites values; with no such node it is the honest
+    source's own.
+    ``sources`` are the honest origins and ``emissions`` the distinct
+    (adversary, receiver) origins; slot s indexes ``sources + emissions``.
+    ``routes`` maps each destination to its paths and their slots.
     """
 
-    def emit(self, k: int, receiver: int) -> float: ...
+    sources: tuple[int, ...]
+    emissions: tuple[tuple[int, int], ...]
+    routes: dict[int, tuple[tuple[int, ...], tuple[Path, ...]]]
 
-    def relay(self, value: float, k: int, receiver: int) -> float: ...
+
+def _origin(nodes: tuple[int, ...], hooks: Mapping[int, AttackScript]) -> int | tuple[int, int]:
+    # A "same" relay ignores the value that arrives; "identity" passes it on.
+    for pos in range(len(nodes) - 2, 0, -1):
+        script = hooks.get(nodes[pos])
+        if script is not None and script.relay_mode == "same":
+            return nodes[pos], nodes[pos + 1]
+    return (nodes[0], nodes[1]) if nodes[0] in hooks else nodes[0]
+
+
+def relay_plan(
+    paths: Mapping[int, Sequence[Path]], hooks: Mapping[int, AttackScript]
+) -> RelayPlan:
+    """The value origin of every path in ``paths`` (destination -> paths),
+    whose order it keeps. Adversarial sources always rewrite; adversarial
+    relays rewrite when their ``relay_mode`` is "same"."""
+    origins = {i: [_origin(p.nodes, hooks) for p in ps] for i, ps in paths.items()}
+    seen = dict.fromkeys(o for found in origins.values() for o in found)
+    sources = tuple(o for o in seen if not isinstance(o, tuple))
+    emissions = tuple(o for o in seen if isinstance(o, tuple))
+    slot = {o: s for s, o in enumerate(sources + emissions)}
+    routes = {i: (tuple(map(slot.__getitem__, found)), tuple(paths[i]))
+              for i, found in origins.items()}
+    return RelayPlan(sources, emissions, routes)
 
 
 def relay_round(
@@ -71,39 +103,30 @@ def relay_round(
     senders: Mapping[int, float],
     l: int,
     k: int = 0,
-    hooks: Mapping[int, AdversaryHook] | None = None,
-    paths: Mapping[int, Sequence[Path]] | None = None,
+    hooks: Mapping[int, AttackScript] | None = None,
+    plan: RelayPlan | None = None,
 ) -> dict[int, tuple[Message, ...]]:
-    """Deliver one message per (source, simple path of length <= l) pair.
+    """Deliver one message per (source, simple path of length <= l) pair to
+    each destination of ``plan``.
 
-    Values are rewritten by adversarial nodes along the path: the source's
-    emission and each adversarial relay's corruption are per-(round, next
-    receiver). Paths are never altered.
+    Adversarial nodes rewrite values along the path: the source's emission
+    and each "same" relay's are per-(round, next receiver), so each distinct
+    (adversary, receiver) emission is evaluated once per round. Paths are
+    never altered, and an untouched value is the sender's own float object.
 
-    ``paths`` may supply the per-destination path enumeration (it only
-    depends on g and l), letting callers amortize it across rounds.
+    ``plan`` defaults to every node of g with all its paths of at most l
+    hops; callers that relay over g again pass it to amortize it.
     """
     hooks = hooks or {}
-    # Only a path through an adversary (destination aside) can be tampered.
-    adv = nodes_bit(hooks)
-    out: dict[int, tuple[Message, ...]] = {}
-    for i in g.nodes:
-        msgs = []
-        append = msgs.append
-        for p in (paths[i] if paths is not None else all_paths_into(g, i, l)):
-            nodes = p.nodes
-            if not p.mask & adv:
-                append(Message(senders[nodes[0]], p))
-                continue
-            hook = hooks.get(nodes[0])
-            value = senders[nodes[0]] if hook is None else hook.emit(k, nodes[1])
-            for pos in range(1, len(nodes) - 1):
-                relay_hook = hooks.get(nodes[pos])
-                if relay_hook is not None:
-                    value = relay_hook.relay(value, k, nodes[pos + 1])
-            append(Message(value, p))
-        out[i] = tuple(msgs)
-    return out
+    if plan is None:
+        plan = relay_plan({i: all_paths_into(g, i, l) for i in g.nodes}, hooks)
+    table = [senders[j] for j in plan.sources]
+    table += [hooks[a].emit(k, r) for a, r in plan.emissions]
+    value = table.__getitem__
+    # Through a list: a tuple grown from a bare map is resized as it fills,
+    # and the cast-off sizes linger in the tuple free lists.
+    return {i: tuple(list(map(Message, map(value, slots), ps)))
+            for i, (slots, ps) in plan.routes.items()}
 
 
 def _hit_prefix(masks: Sequence[int], k: int, chosen: int = 0, start: int = 0) -> tuple[int, int]:

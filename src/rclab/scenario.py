@@ -331,7 +331,11 @@ class Scenario:
         values.update((f"delta[{i}]", offsets) for i, offsets in self.delta.items())
         for i, script in self.scripts.items():
             waves = [script.default] + [w for _, w in script.groups]
-            values[f"adversary {i}"] = [x for w in waves for x in (w.center, w.amplitude)]
+            vals = [x for w in waves for x in (w.center, w.amplitude)]
+            # A square or sinusoid reaches center +- amplitude, which may overflow.
+            vals += [w.center + s * w.amplitude
+                     for w in waves if w.kind != "constant" for s in (1.0, -1.0)]
+            values[f"adversary {i}"] = vals
         bad = [name for name, vals in values.items() if not all(map(math.isfinite, vals))]
         if bad:
             errors.append(f"non-finite values in {', '.join(bad)}")

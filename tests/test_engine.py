@@ -433,3 +433,17 @@ class TestMessageLogValues:
             "7,4,5,4-2-5,2.5,1",
             "",
         ]
+
+
+class TestDeliveryScope:
+    @pytest.mark.parametrize("name", ["fig4b_3hop", "fig7b_2hop_second_order", "secure_leader"])
+    def test_message_log_changes_no_trace_series(self, name):
+        # Without a log only the trimming followers receive messages.
+        sc = corpus_scenario(name)
+        sc.validate()
+        for axis in range(sc.axes):
+            quiet = run_axis(sc, axis)
+            logged = run_axis(sc, axis, _MessageLog(io.StringIO(newline="")))
+            assert quiet.rounds > 1
+            for series in ("x", "v", "V", "V_hat", "residual", "retained_mean"):
+                assert repr(getattr(quiet, series)) == repr(getattr(logged, series)), series

@@ -15,7 +15,10 @@ from rclab.messaging import (
     mmc_cardinality,
     relay_round,
 )
-from conftest import random_digraph
+from rclab.scenario import corpus_names
+from conftest import random_digraph, scenario as corpus_scenario
+
+SIMULATING = [name for name in corpus_names() if not name.startswith("net")]
 
 
 def ms(*specs):
@@ -25,18 +28,6 @@ def ms(*specs):
 def coverable(side, k):
     """Length of the longest prefix of a side whose paths <= k nodes hit."""
     return _hit_prefix([m.path.mask for m in side], k)[0]
-
-
-class ConstHook:
-    def __init__(self, emit_value, relay_value=None):
-        self.emit_value = emit_value
-        self.relay_value = relay_value
-
-    def emit(self, k, receiver):
-        return self.emit_value
-
-    def relay(self, value, k, receiver):
-        return value if self.relay_value is None else self.relay_value
 
 
 def walk_relay_round(g, senders, l, k, hooks):
@@ -73,11 +64,23 @@ def random_script(rng, node, n, honest):
     return AttackScript(node, Waveform(100.0 + node), groups, relay_mode=mode)
 
 
+def last_rewriter(nodes, scripts):
+    """(adversary, next receiver) of the last node on a path that rewrites
+    its value, or None: an adversarial source, or a "same" relay."""
+    origin = None
+    for pos, node in enumerate(nodes[:-1]):
+        script = scripts.get(node)
+        if script is not None and (pos == 0 or script.relay_mode == "same"):
+            origin = (node, nodes[pos + 1])
+    return origin
+
+
 class CallLog:
-    """Delegates to a hook and logs each call it makes, in order."""
+    """Delegates to a script and logs each call made to it, in order."""
 
     def __init__(self, hook, calls):
         self.hook, self.calls = hook, calls
+        self.relay_mode = hook.relay_mode
 
     def emit(self, k, receiver):
         self.calls.append(("emit", self.hook.node, k, receiver))
@@ -129,23 +132,57 @@ class TestRelayRound:
         assert by_path == {(2, 3): 20.0, (1, 2, 3): 10.0}
 
     def test_adversarial_relay_corrupts_value_not_path(self):
-        g = DiGraph.from_edges(3, [(1, 2), (2, 3)])
-        hooks = {2: ConstHook(emit_value=99.0, relay_value=-1.0)}
-        out = relay_round(g, {1: 10.0, 2: 20.0, 3: 0.0}, l=2, hooks=hooks)
-        by_path = {m.path.nodes: m.value for m in out[3]}
-        assert by_path == {(2, 3): 99.0, (1, 2, 3): -1.0}
+        g = DiGraph.from_edges(4, [(1, 2), (2, 3), (2, 4)])
+        hooks = {2: AttackScript(2, Waveform.constant(99.0),
+                                 ((frozenset({4}), Waveform.constant(-1.0)),))}
+        out = relay_round(g, {1: 10.0, 2: 20.0, 3: 0.0, 4: 0.0}, l=2, hooks=hooks)
+        assert {m.path.nodes: m.value for m in out[3]} == {(2, 3): 99.0, (1, 2, 3): 99.0}
+        assert {m.path.nodes: m.value for m in out[4]} == {(2, 4): -1.0, (1, 2, 4): -1.0}
 
     def test_adversarial_source_uses_emit(self):
         g = DiGraph.from_edges(2, [(1, 2)])
-        out = relay_round(g, {1: 0.0, 2: 0.0}, l=1, hooks={1: ConstHook(7.0)})
+        hooks = {1: AttackScript(1, Waveform.constant(7.0), relay_mode="identity")}
+        out = relay_round(g, {1: 0.0, 2: 0.0}, l=1, hooks=hooks)
         assert [m.value for m in out[2]] == [7.0]
+
+    def test_last_same_relay_rewrites_and_identity_passes(self):
+        # Honest 1 -> "same" relay 2 -> "identity" relay 3 -> 4. Every
+        # candidate emission differs: taking 3 for a rewriter, or the
+        # destination for 2's receiver, delivers another value.
+        g = DiGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+        hooks = {
+            2: AttackScript(2, Waveform.constant(22.0),
+                            ((frozenset({3}), Waveform.constant(21.0)),)),
+            3: AttackScript(3, Waveform.constant(32.0),
+                            ((frozenset({4}), Waveform.constant(31.0)),),
+                            relay_mode="identity"),
+        }
+        out = relay_round(g, {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}, l=3, hooks=hooks)
+        by_path = {m.path.nodes: m.value for m in out[4]}
+        assert by_path == {(1, 2, 3, 4): 21.0, (2, 3, 4): 21.0, (3, 4): 31.0}
+
+    def test_last_rewriter_wins_over_adversarial_source(self):
+        # Adversarial source 1 -> "same" relay 2 -> 3: 2's emission to 3
+        # replaces 1's emission to 2.
+        g = DiGraph.from_edges(3, [(1, 2), (2, 3)])
+        hooks = {
+            1: AttackScript(1, Waveform.constant(12.0),
+                            ((frozenset({2}), Waveform.constant(11.0)),)),
+            2: AttackScript(2, Waveform.constant(22.0),
+                            ((frozenset({3}), Waveform.constant(21.0)),)),
+        }
+        out = relay_round(g, {1: 1.0, 2: 2.0, 3: 3.0}, l=2, hooks=hooks)
+        assert {m.path.nodes: m.value for m in out[3]} == {(1, 2, 3): 21.0, (2, 3): 21.0}
+        assert {m.path.nodes: m.value for m in out[2]} == {(1, 2): 11.0}
 
     @given(st.integers(3, 6), st.integers(1, 3), st.randoms())
     def test_path_multiset_independent_of_adversaries(self, n, l, rng):
         g = random_digraph(random.Random(rng.randint(0, 10**9)), n)
         senders = {i: float(i) for i in g.nodes}
         clean = relay_round(g, senders, l)
-        hooked = relay_round(g, senders, l, hooks={1: ConstHook(123.0, 321.0)})
+        hooks = {1: AttackScript(1, Waveform.constant(123.0),
+                                 ((frozenset({2}), Waveform.constant(321.0)),))}
+        hooked = relay_round(g, senders, l, hooks=hooks)
         for i in g.nodes:
             assert [m.path for m in clean[i]] == [m.path for m in hooked[i]]
 
@@ -171,8 +208,20 @@ class TestRelayRound:
                 )
         assert through_relay > 0
 
-    def test_hooks_called_once_per_path(self):
+    def test_matches_per_hop_walk_on_corpus(self):
+        for name in SIMULATING:
+            sc = corpus_scenario(name)
+            for g in sc.schedule.graphs:
+                senders = {i: 0.25 * i - 1.0 for i in g.nodes}
+                for k in range(4):
+                    want = walk_relay_round(g, senders, sc.l, k, sc.scripts)
+                    got = relay_round(g, senders, sc.l, k, sc.scripts)
+                    assert {i: [(m.path.nodes, m.value) for m in ms]
+                            for i, ms in got.items()} == want, (name, k)
+
+    def test_one_emit_per_origin_and_no_relay(self):
         rng = random.Random(7)
+        shared = 0
         for _ in range(60):
             n = rng.randint(3, 8)
             g = random_digraph(rng, n)
@@ -180,11 +229,14 @@ class TestRelayRound:
             senders = {i: rng.uniform(-10, 10) for i in g.nodes}
             adversaries = rng.sample(list(g.nodes), rng.randint(1, max(1, n // 2)))
             scripts = {a: random_script(rng, a, n, senders[a]) for a in adversaries}
-            walked, relayed = [], []
-            walk_relay_round(g, senders, l, k,
-                             {a: CallLog(s, walked) for a, s in scripts.items()})
-            relay_round(g, senders, l, k, {a: CallLog(s, relayed) for a, s in scripts.items()})
-            assert relayed == walked
+            calls = []
+            relay_round(g, senders, l, k, {a: CallLog(s, calls) for a, s in scripts.items()})
+            origins = [last_rewriter(p.nodes, scripts)
+                       for i in g.nodes for p in all_paths_into(g, i, l)]
+            want = {o for o in origins if o is not None}
+            assert sorted(calls) == sorted(("emit", a, k, r) for a, r in want)
+            shared += len(want) < sum(o is not None for o in origins)
+        assert shared > 0
 
     def test_identity_relay_keeps_the_sign_of_zero(self):
         # 0.0 == -0.0, yet an identity relay must deliver each one unchanged.

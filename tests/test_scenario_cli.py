@@ -582,6 +582,11 @@ class TestMalformedInput:
                 "default": {"center": 2.0},
                 "groups": [{"receivers": [2], "center": 1.0, "amplitude": float("nan")}],
             }}]}, "non-finite values in adversary 4"),
+            ({"adversaries": [{"node": 4, "emit": {
+                "center": 1.0e308, "amplitude": 1.0e308}}]}, "non-finite values in adversary 4"),
+            ({"adversaries": [{"node": 4, "emit": {
+                "center": -1.0e308, "amplitude": 1.0e308, "waveform": "sinusoid"}}]},
+             "non-finite values in adversary 4"),
             ({"tol": float("nan")}, "tolerance must be positive and finite"),
             ({"tol": float("inf")}, "tolerance must be positive and finite"),
             ({**SECOND_ORDER_2D, "init": {2: [[], [2.4, 0.0]], 3: [5.0, 1.0]}},
@@ -594,6 +599,7 @@ class TestMalformedInput:
             }}]}, "node id 99 outside 1..4"),
         ],
         ids=["init-nan", "delta-inf", "center-inf", "group-amplitude-nan",
+             "square-swing-overflows", "sinusoid-swing-overflows",
              "tol-nan", "tol-inf", "second-order-init-empty-axis",
              "second-order-init-three-values", "receiver-outside"],
     )
