@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .messaging import Message, _hit_prefix, mmc_cardinality
+
+
+_value = itemgetter(0)  # Message.value, read as a tuple item
 
 
 class AgentError(ValueError):
@@ -126,7 +129,7 @@ def mw_msr_update(retained: tuple[Message, ...], own: float) -> float:
     if not math.isfinite(own):
         raise AgentError(f"non-finite own value {own}")
     try:
-        total = math.fsum([own, *(m.value for m in retained)])
+        total = math.fsum([own, *map(_value, retained)])
     except OverflowError:
         raise AgentError("retained values overflow their sum") from None
     return total / (len(retained) + 1)

@@ -2,9 +2,9 @@
 message covers.
 
 A message is a (value, path) pair, and a message set is a plain tuple of
-messages. Within a round every node receives one message per simple path of
-length <= l ending at it; adversarial relays may rewrite the value but the
-path is authentic and immutable.
+messages. Within a round a node that a relay plan covers receives one message
+per simple path of length <= l ending at it; adversarial relays may rewrite
+the value but the path is authentic and immutable.
 """
 
 from __future__ import annotations
@@ -113,6 +113,7 @@ def relay_round(
     and each "same" relay's are per-(round, next receiver), so each distinct
     (adversary, receiver) emission is evaluated once per round. Paths are
     never altered, and an untouched value is the sender's own float object.
+    Every sender value and emission that some path carries must be finite.
 
     ``plan`` defaults to every node of g with all its paths of at most l
     hops; callers that relay over g again pass it to amortize it.
@@ -122,10 +123,15 @@ def relay_round(
         plan = relay_plan({i: all_paths_into(g, i, l) for i in g.nodes}, hooks)
     table = [senders[j] for j in plan.sources]
     table += [hooks[a].emit(k, r) for a, r in plan.emissions]
+    # Each slot is some path's origin, so this is Message's check, made once
+    # per value: the messages below are built without it.
+    for bad in itertools.filterfalse(math.isfinite, table):
+        raise MessageError(f"non-finite message value {bad}")
     value = table.__getitem__
+    new = tuple.__new__
     # Through a list: a tuple grown from a bare map is resized as it fills,
     # and the cast-off sizes linger in the tuple free lists.
-    return {i: tuple(list(map(Message, map(value, slots), ps)))
+    return {i: tuple(list(map(new, itertools.repeat(Message), zip(map(value, slots), ps))))
             for i, (slots, ps) in plan.routes.items()}
 
 
@@ -141,20 +147,35 @@ def _hit_prefix(masks: Sequence[int], k: int, chosen: int = 0, start: int = 0) -
     ``chosen``. With masks of at most l nodes the tree has at most l^k
     leaves, each reached by one O(m) scan.
     """
-    for idx in range(start, len(masks)):
+    m = len(masks)
+    for idx in range(start, m):
         if not masks[idx] & chosen:
             break
     else:
-        return len(masks), chosen
+        return m, chosen
     best = (idx, chosen)
     if k <= 0:
         return best
     rest = masks[idx]
+    if k == 1:
+        # The leaves, scanned here rather than by one call each.
+        while rest:
+            low = rest & -rest
+            leaf = chosen | low
+            for end in range(idx + 1, m):
+                if not masks[end] & leaf:
+                    break
+            else:
+                return m, leaf
+            if end > best[0]:
+                best = (end, leaf)
+            rest ^= low
+        return best
     while rest:
         low = rest & -rest
         found = _hit_prefix(masks, k - 1, chosen | low, idx + 1)
         if found[0] > best[0]:
-            if found[0] == len(masks):
+            if found[0] == m:
                 return found
             best = found
         rest ^= low

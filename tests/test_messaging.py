@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,6 +14,7 @@ from rclab.messaging import (
     minimum_message_cover,
     mmc_brute_force_oracle,
     mmc_cardinality,
+    relay_plan,
     relay_round,
 )
 from rclab.scenario import corpus_names
@@ -89,6 +91,16 @@ class CallLog:
     def relay(self, value, k, receiver):
         self.calls.append(("relay", self.hook.node, value, k, receiver))
         return self.hook.relay(value, k, receiver)
+
+
+class FixedScript:
+    """A duck-typed script: one emission to every receiver."""
+
+    def __init__(self, value, relay_mode="same"):
+        self.value, self.relay_mode = value, relay_mode
+
+    def emit(self, k, receiver):
+        return self.value
 
 
 class TestMessageTypes:
@@ -249,6 +261,31 @@ class TestRelayRound:
             assert signs[(1, 3, 4)] == math.copysign(1.0, first)
             assert signs[(2, 3, 4)] == math.copysign(1.0, second)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_honest_value_raises(self, bad):
+        g = DiGraph.from_edges(3, [(1, 2), (2, 3)])
+        hooks = {2: FixedScript(5.0, relay_mode="identity")}
+        with pytest.raises(MessageError, match="non-finite message value"):
+            relay_round(g, {1: bad, 2: 0.0, 3: 0.0}, l=2, hooks=hooks)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_emission_raises(self, bad):
+        g = DiGraph.from_edges(3, [(1, 2), (2, 3)])
+        with pytest.raises(MessageError, match="non-finite message value"):
+            relay_round(g, {1: 1.0, 2: 0.0, 3: 0.0}, l=2, hooks={2: FixedScript(bad)})
+
+    def test_non_finite_value_no_path_carries_is_not_checked(self):
+        # Node 3 sends to no one, adversary 2's own state is never sent, and
+        # the "same" relay 2 overwrites whatever 1 sends towards 3. With a
+        # plan for node 3 alone, 1's value reaches no planned destination.
+        g = DiGraph.from_edges(3, [(1, 2), (2, 3)])
+        nan = float("nan")
+        out = relay_round(g, {1: 1.0, 2: nan, 3: nan}, l=2, hooks={2: FixedScript(4.0)})
+        assert {m.path.nodes: m.value for m in out[3]} == {(2, 3): 4.0, (1, 2, 3): 4.0}
+        plan = relay_plan({3: all_paths_into(g, 3, 2)}, {2: FixedScript(4.0)})
+        out = relay_round(g, {1: nan, 2: nan, 3: nan}, 2, 0, {2: FixedScript(4.0)}, plan)
+        assert [m.value for m in out[3]] == [4.0, 4.0]
+
 
 class TestMinimumMessageCover:
     def test_single_message(self):
@@ -354,6 +391,33 @@ class TestMinimumMessageCover:
         side = ms((3.0, (1, 2, 9)), (2.0, (2, 9)), (1.0, (3, 9)))
         assert coverable(side, 1) == 2
         assert coverable(side, 2) == 3
+
+    def test_hit_prefix_mask_hits_the_prefix(self):
+        rng = random.Random(11)
+        nodes = range(1, 9)
+        short = 0
+        for _ in range(300):
+            chosen = sum(1 << v for v in rng.sample(nodes, rng.randint(1, 2)))
+            # Masks before ``start`` are hit by ``chosen``, as the search
+            # assumes.
+            start = rng.randint(0, 4)
+            head = [chosen & -chosen | 1 << rng.choice(nodes) for _ in range(start)]
+            tail = [sum(1 << v for v in rng.sample(nodes, rng.randint(1, 3)))
+                    for _ in range(rng.randint(0, 8))]
+            masks = head + tail
+            for k in range(4):
+                p, mask = _hit_prefix(masks, k, chosen, start)
+                longest = max(
+                    q for q in range(start, len(masks) + 1)
+                    if any(all(m & (chosen | sum(1 << v for v in extra)) for m in masks[:q])
+                           for extra in itertools.combinations(nodes, k))
+                )
+                assert p == longest
+                assert mask & chosen == chosen
+                assert all(m & mask for m in masks[:p])
+                assert bin(mask & ~chosen).count("1") <= k
+                short += p < len(masks)
+        assert short > 100
 
     def test_coverable_prefix_edges(self):
         assert _hit_prefix([], 2) == (0, 0)
