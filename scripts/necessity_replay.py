@@ -11,10 +11,9 @@ from honest ones and remain exactly where they started.
 import argparse
 
 from rclab.adversary import necessity_attack
-from rclab.agents import ReferenceFunction
 from rclab.engine import run
 from rclab.robustness import RobustnessQuery, is_jointly_robust_following
-from rclab.scenario import Scenario, corpus_path, load_topology, resolve_file
+from rclab.scenario import ReferenceFunction, Scenario, load_topology, resolve_file
 
 
 def main():
@@ -38,11 +37,10 @@ def main():
     cert = verdict.certificate
     print(f"certificate: F={sorted(cert.F)} S={sorted(cert.S)}")
 
-    scripts, init = necessity_attack(cert, args.reference, args.stall)
-    full_init = {i: (v,) for i, v in init.items()}
-    all_nodes = set(range(1, schedule.n + 1))
-    for i in sorted(all_nodes - leaders - cert.F - cert.S):
-        full_init[i] = (args.reference,)
+    scripts, stalled = necessity_attack(cert, args.reference, args.stall)
+    others = sorted(set(range(1, schedule.n + 1)) - leaders - cert.F - cert.S)
+    values = {**stalled, **dict.fromkeys(others, args.reference)}
+    init = {i: ((v,),) for i, v in values.items()}  # one axis, x only
     scenario = Scenario(
         name="necessity-replay",
         schedule=schedule,
@@ -51,7 +49,7 @@ def main():
         f=args.f,
         l=args.l,
         reference=ReferenceFunction.constant(args.reference),
-        init={i: (v,) for i, v in full_init.items()},
+        init=init,
         scripts=scripts,
         max_rounds=args.rounds,
     )

@@ -9,10 +9,13 @@ explain it, which is decided exactly via minimum message covers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING
 
 from .messaging import Message, _hit_prefix, mmc_cardinality
+
+if TYPE_CHECKING:
+    from .scenario import ControlParams
 
 
 _value = itemgetter(0)  # Message.value, read as a tuple item
@@ -20,65 +23,6 @@ _value = itemgetter(0)  # Message.value, read as a tuple item
 
 class AgentError(ValueError):
     """Invalid agent parameterization or input."""
-
-
-@dataclass(frozen=True)
-class ReferenceFunction:
-    """Piecewise-constant (staircase) reference: list of (start_round, value)."""
-
-    pieces: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        if not self.pieces:
-            raise AgentError("reference needs at least one piece")
-        if self.pieces[0][0] != 0:
-            raise AgentError("first reference piece must start at round 0")
-        starts = [s for s, _ in self.pieces]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise AgentError(f"piece starts must strictly increase: {starts}")
-        if any(not math.isfinite(v) for _, v in self.pieces):
-            raise AgentError("reference values must be finite")
-
-    @staticmethod
-    def constant(value: float) -> "ReferenceFunction":
-        return ReferenceFunction(((0, float(value)),))
-
-    def value_at(self, k: int) -> float:
-        if k < 0:
-            raise AgentError(f"round index must be >= 0, got {k}")
-        out = self.pieces[0][1]
-        for start, value in self.pieces:
-            if start <= k:
-                out = value
-        return out
-
-    def segments(self, horizon: int) -> list[tuple[range, float]]:
-        """Constant segments within [0, horizon)."""
-        out = []
-        for idx, (start, value) in enumerate(self.pieces):
-            end = self.pieces[idx + 1][0] if idx + 1 < len(self.pieces) else horizon
-            if start < horizon:
-                out.append((range(start, min(end, horizon)), value))
-        return out
-
-
-@dataclass(frozen=True)
-class ControlParams:
-    """Second-order gains; the sampling/damping pair must satisfy the
-    stability window 1 + T^2/2 <= beta*T <= 2 - T^2/2."""
-
-    T: float
-    beta: float
-
-    def __post_init__(self):
-        if self.T <= 0:
-            raise AgentError(f"sampling period must be positive, got {self.T}")
-        lo, hi = 1 + self.T**2 / 2, 2 - self.T**2 / 2
-        bt = self.beta * self.T
-        if not (lo <= bt <= hi):
-            raise AgentError(
-                f"beta*T = {bt:.6g} outside stability window [{lo:.6g}, {hi:.6g}]"
-            )
 
 
 def _trim_side(side: list[Message], f: int, upper: bool) -> list[Message]:

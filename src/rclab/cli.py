@@ -17,13 +17,7 @@ from .robustness import (
     is_jointly_robust_following,
     necessary_conditions,
 )
-from .scenario import (
-    ScenarioError,
-    corpus_names,
-    load_scenario,
-    load_topology,
-    resolve_file,
-)
+from .scenario import corpus_names, load_scenario, load_topology, resolve_file
 
 
 @click.group()
@@ -49,7 +43,7 @@ def cli_check_robustness(topology, r_param, l_param, f_param, strict_relays):
             f=f_param,
             relays_inside_s=not strict_relays,
         )
-    except (ScenarioError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
 
@@ -87,7 +81,7 @@ def cli_simulate(scenario_ref, out_dir, max_rounds, summary):
         if max_rounds is not None:
             scenario = dataclasses.replace(scenario, max_rounds=max_rounds)
         result = run(scenario, out_dir)
-    except (ScenarioError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
 
@@ -117,7 +111,7 @@ def cli_validate(scenario_ref):
     """Run all scenario cross-validations without simulating."""
     try:
         scenario = load_scenario(resolve_file(scenario_ref))
-    except (ScenarioError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
     errors = scenario.validation_errors()

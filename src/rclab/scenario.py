@@ -20,7 +20,6 @@ from pathlib import Path as FsPath
 import yaml
 
 from .adversary import AttackScript, Waveform, validate_f_local
-from .agents import AgentError, ControlParams, ReferenceFunction
 from .graphs import (
     DiGraph,
     GraphError,
@@ -209,6 +208,66 @@ def resolve_file(ref: str, base: FsPath | None = None) -> FsPath:
 
 # ---------------------------------------------------------------------------
 # Scenario files
+
+
+@dataclass(frozen=True)
+class ReferenceFunction:
+    """Piecewise-constant (staircase) reference: list of (start_round, value)."""
+
+    pieces: tuple[tuple[int, float], ...]
+
+    def __post_init__(self):
+        if not self.pieces:
+            raise ScenarioError("reference needs at least one piece")
+        if self.pieces[0][0] != 0:
+            raise ScenarioError("first reference piece must start at round 0")
+        starts = [s for s, _ in self.pieces]
+        if any(b <= a for a, b in zip(starts, starts[1:])):
+            raise ScenarioError(f"reference piece starts must strictly increase: {starts}")
+        if any(not math.isfinite(v) for _, v in self.pieces):
+            raise ScenarioError("reference values must be finite")
+
+    @staticmethod
+    def constant(value: float) -> "ReferenceFunction":
+        return ReferenceFunction(((0, float(value)),))
+
+    def value_at(self, k: int) -> float:
+        if k < 0:
+            raise ScenarioError(f"round index must be >= 0, got {k}")
+        out = self.pieces[0][1]
+        for start, value in self.pieces:
+            if start <= k:
+                out = value
+        return out
+
+    def segments(self, horizon: int) -> list[tuple[range, float]]:
+        """Constant segments within [0, horizon)."""
+        out = []
+        for idx, (start, value) in enumerate(self.pieces):
+            end = self.pieces[idx + 1][0] if idx + 1 < len(self.pieces) else horizon
+            if start < horizon:
+                out.append((range(start, min(end, horizon)), value))
+        return out
+
+
+@dataclass(frozen=True)
+class ControlParams:
+    """Second-order gains; the sampling/damping pair must satisfy the
+    stability window 1 + T^2/2 <= beta*T <= 2 - T^2/2."""
+
+    T: float
+    beta: float
+
+    def __post_init__(self):
+        # Above 1 the window is empty; checked first, so a huge T is not squared.
+        if not 0 < self.T <= 1:
+            raise ScenarioError(f"sampling period T must be in (0, 1], got {self.T}")
+        lo, hi = 1 + self.T**2 / 2, 2 - self.T**2 / 2
+        bt = self.beta * self.T
+        if not (lo <= bt <= hi):
+            raise ScenarioError(
+                f"beta*T = {bt:.6g} outside stability window [{lo:.6g}, {hi:.6g}]"
+            )
 
 
 def _parse_waveform(spec: dict, what: str, extra: tuple[str, ...] = ()) -> Waveform:
@@ -444,11 +503,7 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
     if algorithm == "mdp-msr":
         if "T" not in data or "beta" not in data:
             raise ScenarioError("mdp-msr requires 'T' and 'beta'")
-        T, beta = _scalar(data, "T", _float), _scalar(data, "beta", _float)
-        try:
-            params = ControlParams(T=T, beta=beta)
-        except AgentError as e:
-            raise ScenarioError(str(e)) from e
+        params = ControlParams(T=_scalar(data, "T", _float), beta=_scalar(data, "beta", _float))
 
     with _field("init"):
         init = {

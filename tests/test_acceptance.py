@@ -7,7 +7,6 @@ import time
 from pathlib import Path as FsPath
 
 from rclab.adversary import necessity_attack
-from rclab.agents import ControlParams, ReferenceFunction
 from rclab.engine import (
     contraction_oracle,
     envelope_nesting_holds,
@@ -27,7 +26,14 @@ from rclab.robustness import (
     necessary_conditions,
     strongly_robust_wrt_leaders,
 )
-from rclab.scenario import Scenario, corpus_path, load_scenario, load_topology
+from rclab.scenario import (
+    ControlParams,
+    ReferenceFunction,
+    Scenario,
+    corpus_path,
+    load_scenario,
+    load_topology,
+)
 
 SCENARIOS = (
     "fig4a_1hop",

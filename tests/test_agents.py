@@ -8,8 +8,6 @@ from rclab import agents
 from rclab.agents import (
     _trim_side,
     AgentError,
-    ControlParams,
-    ReferenceFunction,
     mdp_msr_control,
     mw_msr_trim,
     mw_msr_update,
@@ -21,6 +19,7 @@ from rclab.messaging import (
     mmc_brute_force_oracle,
     mmc_cardinality,
 )
+from rclab.scenario import ControlParams, ReferenceFunction, ScenarioError
 
 
 def one_hop_set(pairs, dest=99):
@@ -50,11 +49,11 @@ class TestReferenceFunction:
         assert ref.value_at(12345) == 1.0
 
     def test_must_start_at_zero(self):
-        with pytest.raises(AgentError):
+        with pytest.raises(ScenarioError):
             ReferenceFunction(((5, 1.0),))
 
     def test_strictly_increasing_starts(self):
-        with pytest.raises(AgentError):
+        with pytest.raises(ScenarioError):
             ReferenceFunction(((0, 1.0), (10, 2.0), (10, 3.0)))
 
     def test_segments(self):
@@ -212,16 +211,21 @@ class TestControlParams:
         assert p.beta * p.T >= 1 + p.T**2 / 2
 
     def test_gate_rejects_low_damping(self):
-        with pytest.raises(AgentError):
+        with pytest.raises(ScenarioError):
             ControlParams(T=0.8, beta=1.0)
 
     def test_gate_rejects_high_damping(self):
-        with pytest.raises(AgentError):
+        with pytest.raises(ScenarioError):
             ControlParams(T=0.8, beta=2.2)
 
     def test_rejects_nonpositive_period(self):
-        with pytest.raises(AgentError):
+        with pytest.raises(ScenarioError):
             ControlParams(T=0.0, beta=1.65)
+
+    def test_window_closes_above_unit_period(self):
+        ControlParams(T=1.0, beta=1.5)  # the window is the one point beta*T = 1.5
+        with pytest.raises(ScenarioError, match="sampling period T"):
+            ControlParams(T=math.nextafter(1.0, 2.0), beta=1.5)
 
 
 class TestSecondOrder:

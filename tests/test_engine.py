@@ -5,7 +5,6 @@ import io
 import pytest
 
 from rclab.adversary import AttackScript, Waveform, necessity_attack
-from rclab.agents import ReferenceFunction
 from rclab.engine import (
     EngineError,
     _MessageLog,
@@ -19,7 +18,7 @@ from rclab.engine import (
 from rclab.graphs import DiGraph, Path, TopologySchedule
 from rclab.messaging import Message
 from rclab.robustness import RobustnessQuery, is_jointly_robust_following
-from rclab.scenario import Scenario
+from rclab.scenario import ControlParams, ReferenceFunction, Scenario
 
 from conftest import scenario as corpus_scenario
 
@@ -114,8 +113,6 @@ class TestMetrics:
 
 
 def second_order_scenario(**kw):
-    from rclab.agents import ControlParams
-
     defaults = dict(
         name="so",
         schedule=TopologySchedule.static(complete_graph(4)),

@@ -39,9 +39,11 @@ def loaded_modules(code: str) -> set[str]:
     [
         ("import rclab.robustness", SIMULATOR | {"rclab.adversary", "rclab.cli", "click"}),
         ("import rclab.engine", {"rclab.robustness"}),
-        (CHECK_ROBUSTNESS, {"rclab.engine"}),
+        (CHECK_ROBUSTNESS, {"rclab.engine", "rclab.agents", "rclab.messaging"}),
+        ("import rclab.scenario",
+         {"rclab.agents", "rclab.messaging", "rclab.engine", "rclab.robustness"}),
     ],
-    ids=["checker", "simulator", "check-robustness"],
+    ids=["checker", "simulator", "check-robustness", "scenario"],
 )
 def test_layer_loads_no_other(code, absent):
     assert loaded_modules(code) & absent == set()

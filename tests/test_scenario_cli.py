@@ -597,11 +597,13 @@ class TestMalformedInput:
                 "default": {"center": 2.0},
                 "groups": [{"receivers": [99, 2], "center": 1.0}],
             }}]}, "node id 99 outside 1..4"),
+            ({"algorithm": "mdp-msr", "T": 1.0e300, "beta": 1.65},
+             "sampling period T must be in (0, 1], got 1e+300"),
         ],
         ids=["init-nan", "delta-inf", "center-inf", "group-amplitude-nan",
              "square-swing-overflows", "sinusoid-swing-overflows",
              "tol-nan", "tol-inf", "second-order-init-empty-axis",
-             "second-order-init-three-values", "receiver-outside"],
+             "second-order-init-three-values", "receiver-outside", "huge-T"],
     )
     def test_invalid_value_fails_validate_and_simulate(self, workspace, over, message):
         p = workspace / "scn.yaml"
