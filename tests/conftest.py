@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
+from rclab import agents
 from rclab.graphs import DiGraph
 from rclab.scenario import corpus_path, load_scenario, load_topology
 
@@ -20,6 +21,14 @@ def random_digraph(rng: random.Random, n: int, p: float = 0.4) -> DiGraph:
         if j != i and rng.random() < p
     ]
     return DiGraph.from_edges(n, edges)
+
+
+@pytest.fixture(autouse=True)
+def fresh_trim_memo(monkeypatch):
+    """Each test starts with no memoized trim cut, so no cut stored by an
+    earlier test answers a search this one means to run (the tracer test
+    counts the invariant checks that the misses make)."""
+    monkeypatch.setattr(agents, "_CUTS", {})
 
 
 @pytest.fixture(scope="session")

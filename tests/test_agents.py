@@ -27,6 +27,32 @@ def one_hop_set(pairs, dest=99):
     return tuple(Message(v, Path((s, dest))) for s, v in pairs)
 
 
+def linear_scan(side, f):
+    """The prefix before the first message the oracle cannot cover with f
+    nodes."""
+    for end in range(1, len(side) + 1):
+        if mmc_brute_force_oracle(side[:end]) > f:
+            return side[: end - 1]
+    return side
+
+
+def expected_trim(side, f, upper):
+    """What ``_trim_side`` removes, by the oracle: most extreme first,
+    stable; a side of at most f goes whole."""
+    ordered = sorted(side, key=lambda m: -m.value if upper else m.value)
+    return side if len(side) <= f else linear_scan(ordered, f)
+
+
+def random_side(rng):
+    side = []
+    for _ in range(rng.randint(1, 12)):
+        relays = rng.sample(range(1, 8), rng.randint(0, 2))
+        path = (rng.randint(1, 7), *relays, 9)
+        if len(set(path)) == len(path):
+            side.append(Message(rng.uniform(-3, 3), Path(path)))
+    return side
+
+
 def classical_wmsr_retained(own, values, f):
     above = sorted((v for v in values if v > own), reverse=True)[:f]
     below = sorted(v for v in values if v < own)[:f]
@@ -149,36 +175,60 @@ class TestTrim:
                 if side:
                     assert mmc_cardinality(side, f) <= f
 
-    def test_trim_side_matches_linear_scan(self):
-        def linear_scan(side, f):
-            # the prefix before the first one the oracle cannot cover with f
-            for end in range(1, len(side) + 1):
-                if mmc_brute_force_oracle(side[:end]) > f:
-                    return side[: end - 1]
-            return side
-
+    def test_trim_side_matches_linear_scan(self, monkeypatch):
         rng = random.Random(5)
-        for _ in range(300):
-            f = rng.randint(1, 3)
-            side = []
-            for _ in range(rng.randint(1, 12)):
-                relays = rng.sample(range(1, 8), rng.randint(0, 2))
-                path = (rng.randint(1, 7), *relays, 9)
-                if len(set(path)) == len(path):
-                    side.append(Message(rng.uniform(-3, 3), Path(path)))
+        cases = [(rng.randint(1, 3), random_side(rng)) for _ in range(300)]
+        for f, side in cases:
             for upper in (True, False):
-                # most extreme first, stable; a side of at most f goes whole
-                ordered = sorted(side, key=lambda m: -m.value if upper else m.value)
-                expected = side if len(side) <= f else linear_scan(ordered, f)
-                assert _trim_side(list(side), f, upper) == expected
+                assert _trim_side(list(side), f, upper) == expected_trim(side, f, upper)
+        # The same sides again: every cut now comes from the memo.
+        def no_search(masks, k):
+            raise AssertionError("memo miss on a side already seen")
+
+        monkeypatch.setattr(agents, "_hit_prefix", no_search)
+        for f, side in cases:
+            for upper in (True, False):
+                assert _trim_side(list(side), f, upper) == expected_trim(side, f, upper)
 
     def test_trim_invariant_can_fail(self, monkeypatch):
         side = [Message(3.0, Path((1, 9))), Message(2.0, Path((2, 9))), Message(1.0, Path((3, 9)))]
         assert _trim_side(list(side), 2, True) == side[:2]
         real = agents._hit_prefix
         monkeypatch.setattr(agents, "_hit_prefix", lambda masks, k: (real(masks, k)[0] - 1, 0))
+        # A fresh memo, so the side is searched again rather than looked up.
+        monkeypatch.setattr(agents, "_CUTS", {})
         with pytest.raises(AgentError):
             _trim_side(list(side), 2, True)
+
+    def test_failed_invariant_stores_no_cut(self, monkeypatch):
+        real = agents._hit_prefix
+        monkeypatch.setattr(agents, "_hit_prefix", lambda masks, k: (real(masks, k)[0] - 1, 0))
+        side = [Message(3.0, Path((1, 9))), Message(2.0, Path((2, 9))), Message(1.0, Path((3, 9)))]
+        for _ in range(2):
+            with pytest.raises(AgentError):
+                _trim_side(list(side), 2, True)
+        assert agents._CUTS == {}
+
+    def test_same_masks_cut_by_f(self, monkeypatch):
+        # Three disjoint one-hop paths: f nodes explain the f most extreme.
+        side = [Message(3.0, Path((1, 9))), Message(2.0, Path((2, 9))), Message(1.0, Path((3, 9)))]
+        for order in ((1, 2), (2, 1)):
+            monkeypatch.setattr(agents, "_CUTS", {})
+            for f in order:
+                assert _trim_side(list(side), f, True) == side[:f]
+            assert len(agents._CUTS) == 2
+
+    def test_memo_stays_bounded_and_exact(self, monkeypatch):
+        monkeypatch.setattr(agents, "_CUTS_MAX", 8)
+        rng = random.Random(17)
+        cases = [(random_side(rng), rng.randint(1, 3)) for _ in range(60)]
+        keys = {(tuple(m.path.mask for m in sorted(side, key=lambda m: -m.value)), f)
+                for side, f in cases if len(side) > f}
+        assert len(keys) > 3 * 8
+        for _ in range(2):
+            for side, f in cases:
+                assert _trim_side(list(side), f, True) == expected_trim(side, f, True)
+                assert len(agents._CUTS) <= 8
 
 
 class TestUpdate:

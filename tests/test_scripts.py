@@ -4,6 +4,7 @@ should.
 Each runs in a fresh interpreter with this checkout's ``src`` on the path.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -43,3 +44,51 @@ def test_run_corpus_prints_every_scenario():
     for name in scenarios:
         fingerprint = load_scenario(corpus_path(name)).fingerprint()
         assert any(row.split()[:2] == [name, f"fingerprint={fingerprint}"] for row in rows), name
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def synthetic_result(run_ref, work_per_ref, failed=0):
+    return {"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": {
+        "run_ref": {"value": run_ref, "unit": "ref"},
+        "work_per_ref": {"value": work_per_ref, "unit": "1/ref"}}}
+
+
+def test_bench_pairs_alternates_sides():
+    bp = load_bench_pairs()
+    assert [bp.pair_order(i) for i in range(3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+
+def test_bench_pairs_summary_on_synthetic_runs():
+    bp = load_bench_pairs()
+    parent = [100.0, 102.0, 104.0, 106.0, 108.0, 110.0, 112.0, 114.0, 116.0, 118.0]
+    change = [80.0, 82.0, 84.0, 86.0, 88.0, 90.0, 92.0, 94.0, 96.0, 120.0]
+    pairs = [{"parent": synthetic_result(a, 1 / a), "change": synthetic_result(b, 1 / b)}
+             for a, b in zip(parent, change)]
+    pairs[3]["change"] = synthetic_result(86.0, 1 / 86.0, failed=1)
+    out = bp.summarize(pairs, {"run_ref": "lower", "work_per_ref": "higher", "setup_s": "lower"})
+    assert out["pairs"] == 10 and out["all_correct"] is False
+    assert out["failed"] == {"parent": 0, "change": 1}
+    assert out["attempted"] == {"parent": 100, "change": 100}
+    assert "setup_s" not in out["metrics"]
+    rr = out["metrics"]["run_ref"]
+    assert (rr["parent_q1"], rr["parent_median"], rr["parent_q3"]) == (104.5, 109.0, 113.5)
+    assert rr["parent_iqr"] == 9.0
+    assert (rr["change_q1"], rr["change_median"], rr["change_q3"]) == (84.5, 89.0, 93.5)
+    assert rr["change_pct"] == round(100 * (89.0 - 109.0) / 109.0, 2)
+    assert rr["change_wins"] == 9 and rr["clear_gain"] is True
+    wr = out["metrics"]["work_per_ref"]
+    assert wr["better"] == "higher" and wr["change_wins"] == 9 and wr["clear_gain"] is True
+    # Eight wins in ten, or a gain inside the parent's IQR, is not clear.
+    pairs[0]["change"] = synthetic_result(101.0, 1 / 101.0)
+    assert bp.summarize(pairs, {"run_ref": "lower"})["metrics"]["run_ref"]["clear_gain"] is False
+    close = [{"parent": synthetic_result(a, 1.0), "change": synthetic_result(a - 1, 1.0)}
+             for a in parent]
+    rr = bp.summarize(close, {"run_ref": "lower"})["metrics"]["run_ref"]
+    assert rr["change_wins"] == 10 and rr["clear_gain"] is False
