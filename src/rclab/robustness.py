@@ -7,7 +7,8 @@ each bounded interval, at least one node with r independent paths of at
 most l hops originating outside S.
 
 Everything here is exact. The removal sets F are enumerated (a pruned
-search over f-local sets); the follower subsets S are not: for each F and
+search over f-local sets) unless a holding query is decided at F = ∅ by
+peeling with target r + f; the follower subsets S are not: for each F and
 interval a peeling pass finds the largest violating S in time polynomial in
 the number of followers. Independent paths are counted by branch and bound.
 """
@@ -165,8 +166,9 @@ def _neighborhood_table(
 
 def f_local_sets(schedule: TopologySchedule, l: int, f: int):
     """All F subsets satisfying the f-local predicate over one period,
-    in deterministic order: by cardinality, then lexicographically. With
-    f = 0 there is no adversary, so the only F is the empty set.
+    in deterministic order: by cardinality, then lexicographically. The
+    empty set comes before any set-up, so a search that stops there builds
+    no table. With f = 0 there is no adversary, so it is the only F.
 
     The predicate: |N_i^{l-}[k] ∩ F| <= f for every node i outside F and
     every scheduled step k.
@@ -177,8 +179,8 @@ def f_local_sets(schedule: TopologySchedule, l: int, f: int):
     neighborhoods) stays crowded as F grows, so it must join F later: a
     partial F is dropped once such a node lies below its largest member.
     """
+    yield frozenset()
     if f == 0:
-        yield frozenset()
         return
     n = schedule.n
     table = _neighborhood_table(schedule, l)
@@ -197,7 +199,7 @@ def f_local_sets(schedule: TopologySchedule, l: int, f: int):
         grown = []
         for F, C, last in level:
             must = C & ~F
-            if not must:
+            if F and not must:
                 yield frozenset(bit_nodes(F))
             # Nodes skipped between last and v never join F: stop at the
             # lowest node that must.
@@ -285,6 +287,10 @@ def is_jointly_robust_following(q: RobustnessQuery) -> RobustnessVerdict:
     decides every nonempty follower subset of the surviving graph at once.
     The certificate holds the first failing F and interval and the largest
     trapped S for them, so certificates are deterministic.
+
+    Once F = ∅ passes, with f >= 1, a peel of it with target r + f that
+    empties every interval decides "holds": an f-local F meets at most f of
+    i's r + f disjoint paths, which lie within l hops of i, so r survive.
     """
     schedule = q.schedule
     intervals = schedule.intervals()
@@ -299,6 +305,12 @@ def is_jointly_robust_following(q: RobustnessQuery) -> RobustnessVerdict:
             )
             if S is not None:
                 return RobustnessVerdict(False, Certificate(F, S, t))
+        if not F and q.f and all(
+            _interval_violation(schedule, iv, F, followers, q.r + q.f, q.l,
+                                q.relays_inside_s, paths) is None
+            for iv in intervals
+        ):
+            return RobustnessVerdict(True)
     return RobustnessVerdict(True)
 
 

@@ -14,10 +14,12 @@ from rclab.graphs import (
     in_neighbors_l,
     nodes_bit,
 )
+from rclab import robustness
 from rclab.robustness import (
     Certificate,
     RobustnessQuery,
     RobustnessVerdict,
+    _interval_violation,
     _max_disjoint_paths,
     f_local_sets,
     is_jointly_robust_following,
@@ -132,6 +134,21 @@ def reachable_r(g, S, i, l, forbidden=frozenset(), relays_inside_s=True):
     return r
 
 
+def count_f_sets(monkeypatch):
+    """The list of every F that ``is_jointly_robust_following`` draws from
+    ``f_local_sets`` from now on, in order."""
+    drawn = []
+    real = robustness.f_local_sets
+
+    def counting(*args):
+        for F in real(*args):
+            drawn.append(F)
+            yield F
+
+    monkeypatch.setattr(robustness, "f_local_sets", counting)
+    return drawn
+
+
 class TestIndependentPaths:
     def test_requires_membership(self):
         g = DiGraph.from_edges(3, [(1, 2)])
@@ -183,6 +200,19 @@ class TestFLocalSets:
         s = TopologySchedule.static(DiGraph.from_edges(3, [(1, 2), (2, 3)]))
         sets = list(f_local_sets(s, 1, 1))
         assert sets[0] == frozenset()
+
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_empty_set_before_any_setup(self, f, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("neighborhood table built")
+
+        monkeypatch.setattr(robustness, "_neighborhood_table", no_table)
+        s = TopologySchedule.static(DiGraph.from_edges(3, [(1, 2), (2, 3)]))
+        sets = f_local_sets(s, 1, f)
+        assert next(sets) == frozenset()
+        # the table is built only when a nonempty F is asked for
+        with pytest.raises(AssertionError, match="neighborhood table built"):
+            next(sets)
 
     def test_order_and_predicate(self):
         g = DiGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
@@ -274,6 +304,52 @@ class TestJointlyRobustFollowing:
             assert cert.S == frozenset().union(*bad)
             outcomes.add(("F" if F else "no F", "later interval" if t else "first interval"))
         assert len(outcomes) == 5
+
+    @pytest.mark.parametrize("relays_inside_s", [True, False])
+    def test_r_plus_f_prepass_is_sound(self, relays_inside_s, monkeypatch):
+        """Whenever peeling every interval with target r + f at F = ∅
+        empties, the property holds for every f-local F, and a holding query
+        is decided after drawing that one F. Verdict and certificate match
+        the oracle at f = 1 and at f = 2, so a pre-pass whose target falls
+        short of r + f gives a false "holds" here."""
+        drawn = count_f_sets(monkeypatch)
+        rng = random.Random(20 + relays_inside_s)
+        decided = 0
+        for _ in range(500):
+            n = rng.randint(4, 9)
+            leaders = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n - 2)))
+            q = RobustnessQuery(
+                random_schedule(rng, n), leaders, r=rng.randint(1, 3),
+                l=rng.randint(1, 3), f=rng.randint(1, 2), relays_inside_s=relays_inside_s,
+            )
+            followers = sorted(set(range(1, n + 1)) - leaders)
+            empties = all(
+                _interval_violation(
+                    q.schedule, iv, frozenset(), followers, q.r + q.f, q.l,
+                    relays_inside_s, {},
+                ) is None
+                for iv in q.schedule.intervals()
+            )
+            drawn.clear()
+            v = is_jointly_robust_following(q)
+            want = oracle_verdict(q)
+            assert v.holds == (want is None)
+            if want is None:
+                decided += empties
+                # every singleton is f-local, so a full search draws more
+                assert (drawn == [frozenset()]) == empties
+                continue
+            assert not empties
+            F, t, bad = want
+            assert v.certificate == Certificate(F, frozenset().union(*bad), t)
+        # 74 of 77 and 88 of 98 holding queries are decided at F = ∅
+        assert decided >= 70
+
+    def test_net15_r3_l3_f2_draws_only_the_empty_f(self, net15, monkeypatch):
+        schedule, leaders = net15
+        drawn = count_f_sets(monkeypatch)
+        assert is_jointly_robust_following(RobustnessQuery(schedule, leaders, 3, 3, 2)).holds
+        assert drawn == [frozenset()]
 
     def test_failing_f_larger_than_f_times_n_over_min_neighborhood(self):
         """Every node has an in-neighbor, so f * ceil(n / min |N_i^{l-}|) is
@@ -438,19 +514,48 @@ class TestScale:
         )
         return RobustnessQuery(schedule, frozenset(leaders), self.R, self.L, self.F)
 
-    def test_layered_circulant_holds_and_planted_trap_fails(self):
-        rng = random.Random(11)
-        n, leaders, order, graphs = layered_circulant(
-            rng, self.M, self.LEADERS, self.R, self.F, self.D
+    def circulant(self):
+        """(n, leaders, order, graphs) of the layered circulant under test."""
+        return layered_circulant(
+            random.Random(11), self.M, self.LEADERS, self.R, self.F, self.D
         )
-        start = time.perf_counter()
-        assert is_jointly_robust_following(self.query(n, leaders, graphs)).holds
 
-        # Eight consecutive followers of the order, past the first r + f
-        # (which alone carry leader edges), fed from r - 1 boundary nodes.
+    def trap_query(self):
+        """The circulant with eight consecutive followers of the order, past
+        the first r + f (which alone carry leader edges), fed from r - 1
+        boundary nodes; and the trap."""
+        n, leaders, order, graphs = self.circulant()
         trap = order[10:18]
         boundary = order[:self.R - 1]
-        q = self.query(n, leaders, plant_trap(graphs, n, trap, boundary))
+        return self.query(n, leaders, plant_trap(graphs, n, trap, boundary)), trap
+
+    def test_layered_circulant_draws_only_the_empty_f(self, monkeypatch):
+        n, leaders, _, graphs = self.circulant()
+        drawn = count_f_sets(monkeypatch)
+        assert is_jointly_robust_following(self.query(n, leaders, graphs)).holds
+        assert drawn == [frozenset()]
+
+    def test_planted_trap_fails_without_the_r_plus_f_peel(self, monkeypatch):
+        """The trap fails at F = ∅ with target r, so the (r + f) pre-pass,
+        which runs only once F = ∅ passes, costs it nothing."""
+        targets = []
+        real = robustness._interval_violation
+
+        def recording(schedule, interval, F, followers, r, *rest):
+            targets.append(r)
+            return real(schedule, interval, F, followers, r, *rest)
+
+        q, _ = self.trap_query()
+        monkeypatch.setattr(robustness, "_interval_violation", recording)
+        v = is_jointly_robust_following(q)
+        assert not v.holds and v.certificate.F == frozenset()
+        assert targets == [self.R]
+
+    def test_layered_circulant_holds_and_planted_trap_fails(self):
+        n, leaders, _, graphs = self.circulant()
+        start = time.perf_counter()
+        assert is_jointly_robust_following(self.query(n, leaders, graphs)).holds
+        q, trap = self.trap_query()
         v = is_jointly_robust_following(q)
         elapsed = time.perf_counter() - start
         assert not v.holds
