@@ -16,6 +16,7 @@ the number of followers. Independent paths are counted by branch and bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graphs import (
     DiGraph,
@@ -26,6 +27,7 @@ from .graphs import (
     direct_leader_followers,
     in_neighbors_l,
     nodes_bit,
+    path_masks_into,
     union_graph,
 )
 
@@ -114,8 +116,8 @@ def _path_masks(paths, relays_inside_s: bool) -> list[tuple[int, int]]:
     return out
 
 
-def _reachable(paths: list[tuple[int, int]], S: int, Fmask: int, r: int) -> bool:
-    """Do r of ``paths`` (``_path_masks`` of one node at one step) serve S
+def _reachable(paths: Iterable[tuple[int, int]], S: int, Fmask: int, r: int) -> bool:
+    """Do r of ``paths`` ((block, body) pairs of one node at one step) serve S
     (as a bitmask), avoid ``Fmask`` and share no node but their endpoint?"""
     masks = [body for block, body in paths if not (block & S or body & Fmask)]
     return len(masks) >= r and _max_disjoint_paths(masks, target=r) >= r
@@ -207,7 +209,7 @@ def f_local_sets(schedule: TopologySchedule, l: int, f: int):
             for v in range(last + 1, hi + 1):
                 G, D = F | 1 << v, C
                 for i, masks in watch[v]:
-                    if not D >> i & 1 and any((m & G).bit_count() > f for m in masks):
+                    if not D >> i & 1 and max(map(int.bit_count, map(G.__and__, masks))) > f:
                         D |= 1 << i
                 if not D & ~G & ((1 << v) - 1):
                     grown.append((G, D, v))
@@ -222,7 +224,7 @@ def _interval_violation(
     r: int,
     l: int,
     relays_inside_s: bool,
-    paths: dict[tuple[int, int], list[tuple[int, int]]],
+    steps: dict[int, tuple[DiGraph, dict[int, int], dict[int, set[tuple[int, int]]]]],
 ) -> frozenset[int] | None:
     """Largest follower subset S with no jointly r-reachable node in the
     interval; None if every nonempty S has one.
@@ -236,24 +238,30 @@ def _interval_violation(
     it: it is a violating S and contains every other, whatever the removal
     order.
 
-    ``paths`` caches ``_path_masks`` per (scheduled step, node) on the full
-    graphs, for every F of one query; paths through F are filtered out here.
+    ``steps`` caches, per scheduled step and for every F of one query, the
+    graph, each node's in-neighbor mask and the ``path_masks_into`` pairs of
+    each node asked so far, all on the full graph; F is masked out here.
     """
     Fmask = nodes_bit(F)
-    keys = [k % schedule.period for k in interval]
-    graphs = [schedule.graphs[key] for key in keys]
-    inn = [{i: nodes_bit(g.in_neighbors(i)) & ~Fmask for i in followers} for g in graphs]
+    cached = []
+    for k in interval:
+        key = k % schedule.period
+        if key not in steps:
+            g = schedule.graphs[key]
+            steps[key] = (g, {i: nodes_bit(g.in_neighbors(i)) for i in g.nodes}, {})
+        cached.append(steps[key])
 
     def node_ok(i: int, S: int) -> bool:
-        # r distinct direct in-neighbors outside S are r independent paths
-        if any((nb[i] & ~S).bit_count() >= r for nb in inn):
+        # r distinct direct in-neighbors outside S and F are r independent paths
+        free = ~(S | Fmask)
+        if any((inn[i] & free).bit_count() >= r for _, inn, _ in cached):
             return True
         if l == 1:
             return False
-        for key, g in zip(keys, graphs):
-            if (key, i) not in paths:
-                paths[key, i] = _path_masks(all_paths_into(g, i, l), relays_inside_s)
-            if _reachable(paths[key, i], S, Fmask, r):
+        for g, _, paths in cached:
+            if i not in paths:
+                paths[i] = path_masks_into(g, i, l, relays_inside_s)
+            if _reachable(paths[i], S, Fmask, r):
                 return True
         return False
 
@@ -294,20 +302,20 @@ def is_jointly_robust_following(q: RobustnessQuery) -> RobustnessVerdict:
     """
     schedule = q.schedule
     intervals = schedule.intervals()
-    paths: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    steps: dict = {}
     for F in f_local_sets(schedule, q.l, q.f):
         followers = sorted(set(range(1, schedule.n + 1)) - q.leaders - F)
         if not followers:
             continue
         for t, interval in enumerate(intervals):
             S = _interval_violation(
-                schedule, interval, F, followers, q.r, q.l, q.relays_inside_s, paths
+                schedule, interval, F, followers, q.r, q.l, q.relays_inside_s, steps
             )
             if S is not None:
                 return RobustnessVerdict(False, Certificate(F, S, t))
         if not F and q.f and all(
             _interval_violation(schedule, iv, F, followers, q.r + q.f, q.l,
-                                q.relays_inside_s, paths) is None
+                                q.relays_inside_s, steps) is None
             for iv in intervals
         ):
             return RobustnessVerdict(True)
@@ -341,44 +349,25 @@ def necessary_conditions(q: RobustnessQuery) -> list[tuple[str, bool]]:
 
     c1 = len(leaders) >= need
 
-    c2 = True
-    for interval in intervals:
-        hit = False
-        for k in interval:
-            g = schedule.graph_at(k)
-            for i in followers:
-                if len(in_neighbors_l(g, i, l) & leaders) >= need:
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            c2 = False
-            break
+    c2 = all(
+        any(
+            len(in_neighbors_l(schedule.graph_at(k), i, l) & leaders) >= need
+            for k in interval
+            for i in followers
+        )
+        for interval in intervals
+    )
 
-    c3 = True
-    for interval in intervals:
-        u = union_graph(schedule, interval)
-        if len(direct_leader_followers(u, leaders)) < need:
-            c3 = False
-            break
+    unions = [union_graph(schedule, interval) for interval in intervals]
+    c3 = all(len(direct_leader_followers(u, leaders)) >= need for u in unions)
 
-    c4 = True
-    for interval in intervals:
-        for i in followers:
-            if not any(
-                len(schedule.graph_at(k).in_neighbors(i)) >= need for k in interval
-            ):
-                c4 = False
-                break
-        if not c4:
-            break
+    c4 = all(
+        any(len(schedule.graph_at(k).in_neighbors(i)) >= need for k in interval)
+        for interval in intervals
+        for i in followers
+    )
     if c4 and len(leaders) == need:
-        for interval in intervals:
-            u = union_graph(schedule, interval)
-            if len(u.edges) < need * len(followers):
-                c4 = False
-                break
+        c4 = all(len(u.edges) >= need * len(followers) for u in unions)
 
     return [
         ("leader-count", c1),

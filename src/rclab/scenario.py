@@ -81,6 +81,13 @@ def _pair(value) -> list:
     return value
 
 
+def _list(value) -> list:
+    """``value`` if it is a list; a string or a mapping is not iterated as one."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
 def _require(data, what: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
     """``data`` is a mapping with every key of ``keys`` and no other but ``optional``."""
     if not isinstance(data, dict):
@@ -135,10 +142,10 @@ def _parse_graph(n: int, name: str, spec: dict) -> DiGraph:
     _require(spec, f"graph {name!r}", (), ("edges", "undirected_edges"))
     edges: list[tuple[int, int]] = []
     with _field(f"graphs.{name}.edges"):
-        for j, i in map(_pair, spec.get("edges", [])):
+        for j, i in map(_pair, _list(spec.get("edges", []))):
             edges.append((_int(j), _int(i)))
     with _field(f"graphs.{name}.undirected_edges"):
-        for a, b in map(_pair, spec.get("undirected_edges", [])):
+        for a, b in map(_pair, _list(spec.get("undirected_edges", []))):
             edges += [(_int(a), _int(b)), (_int(b), _int(a))]
     if not edges:
         raise ScenarioError(f"graph {name!r} has no edges")
@@ -152,18 +159,18 @@ def parse_topology(data: dict) -> tuple[TopologySchedule, frozenset[int]]:
     _require(data, "topology", ("n", "leaders", "graphs", "schedule", "intervals"))
     n = _scalar(data, "n", _int)
     with _field("leaders"):
-        leaders = frozenset(_int(d) for d in data["leaders"])
+        leaders = frozenset(_int(d) for d in _list(data["leaders"]))
     with _field("graphs"):
         graphs = {
             name: _parse_graph(n, name, spec) for name, spec in data["graphs"].items()
         }
     with _field("schedule"):
         try:
-            ordered = tuple(graphs[name] for name in data["schedule"])
+            ordered = tuple(graphs[name] for name in _list(data["schedule"]))
         except KeyError as e:
             raise ScenarioError(f"schedule references unknown graph {e.args[0]!r}") from e
     with _field("intervals"):
-        intervals = tuple(_int(x) for x in data["intervals"])
+        intervals = tuple(_int(x) for x in _list(data["intervals"]))
     try:
         schedule = TopologySchedule(ordered, intervals)
     except GraphError as e:
@@ -293,10 +300,10 @@ def _parse_script(spec: dict) -> AttackScript:
         default = _parse_waveform(emit, what, ("groups",))
     groups = tuple(
         (
-            frozenset(_int(r) for r in grp["receivers"]),
+            frozenset(_int(r) for r in _list(grp["receivers"])),
             _parse_waveform(grp, f"{what} group", ("receivers",)),
         )
-        for grp in emit.get("groups", [])
+        for grp in _list(emit.get("groups", []))
     )
     return AttackScript(
         node=node,
@@ -520,7 +527,7 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
 
     scripts = {}
     with _field("adversaries"):
-        for spec in data.get("adversaries") or []:
+        for spec in _list(data.get("adversaries") or []):
             script = _parse_script(spec)
             if script.node in scripts:
                 raise ScenarioError(f"duplicate adversary entry for node {script.node}")

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -11,6 +13,17 @@ settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    """The benchmark's input generator, loaded by file path and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_digraph(rng: random.Random, n: int, p: float = 0.4) -> DiGraph:

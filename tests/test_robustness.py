@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from conftest import random_digraph
+from conftest import load_workloads, random_digraph
 from hypothesis import given, strategies as st
 
 from rclab.graphs import (
@@ -15,6 +15,7 @@ from rclab.graphs import (
     nodes_bit,
 )
 from rclab import robustness
+from rclab.scenario import load_topology
 from rclab.robustness import (
     Certificate,
     RobustnessQuery,
@@ -568,3 +569,55 @@ class TestScale:
             )
             assert not reachable
         assert elapsed < 5.0
+
+
+# (F, S, interval index) of every check-fails query of the benchmark, by
+# seed and operation name. Both relay readings give the same certificates.
+FAILS_CERTIFICATES = {
+    seed: {
+        "net9 r=2 l=1 f=1": ({5}, {1, 2, 3, 6}, 0),
+        "net15 r=3 l=1 f=2": ({7, 8}, {1, 2, 3, 4, 5, 6, 9, 10}, 0),
+        **traps,
+    }
+    for seed, traps in {
+        0: {
+            "trap0 r=3 l=1 f=2": (set(), {15, 16, 18, 19, 20, 21, 22, 23}, 0),
+            "trap1 r=2 l=2 f=1": (set(), {12, 13, 14, 16, 17, 19, 21, 22}, 0),
+            "trap2 r=2 l=3 f=1": (set(), {11, 13, 14, 17, 18, 19}, 0),
+        },
+        1: {
+            "trap0 r=3 l=1 f=2": (set(), {15, 16, 17, 18, 20, 21, 22, 23}, 0),
+            "trap1 r=2 l=2 f=1": (set(), {13, 14, 15, 16, 17, 18, 20, 22}, 0),
+            "trap2 r=2 l=3 f=1": (set(), {12, 13, 14, 15, 16, 18}, 0),
+        },
+        2: {
+            "trap0 r=3 l=1 f=2": (set(), {15, 16, 17, 18, 19, 20, 21, 23}, 0),
+            "trap1 r=2 l=2 f=1": (set(), {11, 13, 14, 16, 18, 19, 20, 21}, 0),
+            "trap2 r=2 l=3 f=1": (set(), {11, 13, 14, 15, 16, 18}, 0),
+        },
+    }.items()
+}
+
+
+class TestBenchmarkCertificates:
+    """The benchmark accepts any valid certificate, so these pins are what
+    keeps its check-fails certificates from changing unnoticed."""
+
+    @pytest.mark.parametrize("seed", sorted(FAILS_CERTIFICATES))
+    @pytest.mark.parametrize("relays_inside_s", [True, False])
+    def test_check_fails_certificates_are_pinned(self, seed, relays_inside_s, tmp_path):
+        ops = load_workloads().generate("check-fails", seed, tmp_path)["ops"]
+        got = {}
+        for op in ops:
+            schedule, leaders = load_topology(tmp_path / op["topology"])
+            q = RobustnessQuery(
+                schedule, leaders, op["r"], op["l"], op["f"], relays_inside_s
+            )
+            v = is_jointly_robust_following(q)
+            assert not v.holds
+            got[op["name"]] = v.certificate
+        want = {
+            name: Certificate(frozenset(F), frozenset(S), t)
+            for name, (F, S, t) in FAILS_CERTIFICATES[seed].items()
+        }
+        assert got == want

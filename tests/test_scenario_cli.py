@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import importlib.util
 import random
 import re
 import textwrap
@@ -9,6 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 from click.testing import CliRunner
+from conftest import load_workloads
 from hypothesis import given, strategies as st
 
 from rclab import scenario as scenario_mod
@@ -524,6 +524,58 @@ class TestMalformedInput:
             else:
                 parse_scenario(bad, "scn", workspace)
 
+    @pytest.mark.parametrize(
+        "line, field, value",
+        [("schedule: ab", "schedule", "'ab'"), ("schedule: a0", "schedule", "'a0'"),
+         ('leaders: "12"', "leaders", "'12'"), ('intervals: "2"', "intervals", "'2'"),
+         ("leaders: {1: 2}", "leaders", "{1: 2}")],
+        ids=["schedule-of-graph-names", "schedule-unknown-char", "leaders-text",
+             "intervals-text", "leaders-mapping"],
+    )
+    def test_topology_list_given_as_text_exits_1(self, tmp_path, line, field, value):
+        """A string or a mapping is not read as the list of its characters or
+        keys: ``schedule: ab`` with graphs a and b is an error, not [a, b]."""
+        text = textwrap.dedent(
+            """
+            n: 3
+            leaders: [1]
+            graphs:
+              a:
+                edges: [[1, 2], [2, 3]]
+              b:
+                edges: [[1, 3], [3, 2]]
+            schedule: [a, b]
+            intervals: [2]
+            """
+        )
+        p = tmp_path / "topo.yaml"
+        args = ["check-robustness", "--topology", str(p), "--r", "1", "--l", "1", "--f", "0"]
+        p.write_text(text)
+        assert CliRunner().invoke(main, args).exit_code == 0
+        p.write_text(re.sub(rf"(?m)^{field}: .*$", line, text))
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert f"malformed '{field}': expected a list, got {value}" in res.output
+
+    @pytest.mark.parametrize("value", ["23", {2: 3}], ids=["text", "mapping"])
+    @pytest.mark.parametrize(
+        "kind, path, field",
+        [("topology", ("graphs", "g", "edges"), "graphs.g.edges"),
+         ("topology", ("graphs", "g", "undirected_edges"), "graphs.g.undirected_edges"),
+         ("scenario", ("adversaries",), "adversaries"),
+         ("scenario", ("adversaries", 0, "emit", "groups"), "adversaries"),
+         ("scenario", ("adversaries", 0, "emit", "groups", 0, "receivers"), "adversaries")],
+        ids=["edges", "undirected-edges", "adversaries", "groups", "receivers"],
+    )
+    def test_list_field_refuses_text_and_mappings(self, workspace, kind, path, field, value):
+        bad = replaced(TOPOLOGY if kind == "topology" else SCENARIO, path, value)
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"malformed '{field}': expected a list, got {value!r}")):
+            if kind == "topology":
+                parse_topology(bad)
+            else:
+                parse_scenario(bad, "scn", workspace)
+
     def test_misspelled_max_rounds_fails_validate(self, tmp_path):
         data = yaml.safe_load(corpus_path("fig4a_1hop").read_text())
         data["max_round"] = data.pop("max_rounds")
@@ -632,18 +684,9 @@ class TestMalformedInput:
             assert "Traceback" not in res.output
 
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
 # Characters a mutation inserts or writes over: YAML indicators, whitespace,
 # digits and letters.
 MUTATION_CHARS = " \t\n:-[]{},#?&*!|>'\"%@`.0123456789eaxy"
-
-
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def mutation(text: str, rng: random.Random) -> str:
