@@ -134,32 +134,6 @@ def all_paths_into(g: DiGraph, dst: int, l: int) -> list[Path]:
     return [Path(p) for p in sorted(found)]
 
 
-def path_masks_into(g: DiGraph, dst: int, l: int, relays_inside_s: bool) -> set[tuple[int, int]]:
-    """The distinct (block, body) bitmask pairs of the paths of
-    ``all_paths_into(g, dst, l)``, by the same walk back from dst but with
-    no ``Path`` built. The body holds every node of a path but dst; the
-    block, the nodes that must lie outside a set S for the path to serve
-    it, is the source's bit, or the whole body under strict relays
-    (``relays_inside_s`` false)."""
-    g.check_node(dst)
-    inn = g._in_map
-    dst_bit = 1 << dst
-    out: set[tuple[int, int]] = set()
-
-    def back(head: int, body: int, hops: int) -> None:
-        seen = body | dst_bit
-        for prev in inn[head]:
-            bit = 1 << prev
-            if not seen & bit:
-                grown = body | bit
-                out.add((bit if relays_inside_s else grown, grown))
-                if hops < l:
-                    back(prev, grown, hops + 1)
-
-    back(dst, 0, 1)
-    return out
-
-
 @dataclass(frozen=True)
 class TopologySchedule:
     """A finite list of graphs on a shared node set, partitioned into intervals.

@@ -15,6 +15,7 @@ the number of followers. Independent paths are counted by branch and bound.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,7 +28,6 @@ from .graphs import (
     direct_leader_followers,
     in_neighbors_l,
     nodes_bit,
-    path_masks_into,
     union_graph,
 )
 
@@ -113,6 +113,28 @@ def _path_masks(paths, relays_inside_s: bool) -> list[tuple[int, int]]:
     for p in paths:
         body = nodes_bit(p.nodes[:-1])
         out.append((1 << p.nodes[0] if relays_inside_s else body, body))
+    return out
+
+
+def _walk_path_masks(g: DiGraph, dst: int, l: int, relays_inside_s: bool) -> set[tuple[int, int]]:
+    """The distinct pairs of ``_path_masks(all_paths_into(g, dst, l), ...)``,
+    by the same walk back from dst but with no ``Path`` built: the body
+    never holds dst, and a path runs 1 to l hops."""
+    inn = g._in_map
+    dst_bit = 1 << dst
+    out: set[tuple[int, int]] = set()
+
+    def back(head: int, body: int, hops: int) -> None:
+        seen = body | dst_bit
+        for prev in inn[head]:
+            bit = 1 << prev
+            if not seen & bit:
+                grown = body | bit
+                out.add((bit if relays_inside_s else grown, grown))
+                if hops < l:
+                    back(prev, grown, hops + 1)
+
+    back(dst, 0, 1)
     return out
 
 
@@ -239,7 +261,7 @@ def _interval_violation(
     order.
 
     ``steps`` caches, per scheduled step and for every F of one query, the
-    graph, each node's in-neighbor mask and the ``path_masks_into`` pairs of
+    graph, each node's in-neighbor mask and the ``_walk_path_masks`` pairs of
     each node asked so far, all on the full graph; F is masked out here.
     """
     Fmask = nodes_bit(F)
@@ -260,7 +282,7 @@ def _interval_violation(
             return False
         for g, _, paths in cached:
             if i not in paths:
-                paths[i] = path_masks_into(g, i, l, relays_inside_s)
+                paths[i] = _walk_path_masks(g, i, l, relays_inside_s)
             if _reachable(paths[i], S, Fmask, r):
                 return True
         return False
@@ -349,25 +371,47 @@ def necessary_conditions(q: RobustnessQuery) -> list[tuple[str, bool]]:
 
     c1 = len(leaders) >= need
 
-    c2 = all(
-        any(
-            len(in_neighbors_l(schedule.graph_at(k), i, l) & leaders) >= need
-            for k in interval
-            for i in followers
-        )
-        for interval in intervals
-    )
+    c2 = True
+    for interval in intervals:
+        hit = False
+        for k in interval:
+            g = schedule.graph_at(k)
+            for i in followers:
+                if len(in_neighbors_l(g, i, l) & leaders) >= need:
+                    hit = True
+                    break
+            if hit:
+                break
+        if not hit:
+            c2 = False
+            break
 
-    unions = [union_graph(schedule, interval) for interval in intervals]
-    c3 = all(len(direct_leader_followers(u, leaders)) >= need for u in unions)
+    # c3 and the edge count of c4 share each interval's union graph
+    union = functools.cache(functools.partial(union_graph, schedule))
 
-    c4 = all(
-        any(len(schedule.graph_at(k).in_neighbors(i)) >= need for k in interval)
-        for interval in intervals
-        for i in followers
-    )
+    c3 = True
+    for interval in intervals:
+        u = union(interval)
+        if len(direct_leader_followers(u, leaders)) < need:
+            c3 = False
+            break
+
+    c4 = True
+    for interval in intervals:
+        for i in followers:
+            if not any(
+                len(schedule.graph_at(k).in_neighbors(i)) >= need for k in interval
+            ):
+                c4 = False
+                break
+        if not c4:
+            break
     if c4 and len(leaders) == need:
-        c4 = all(len(u.edges) >= need * len(followers) for u in unions)
+        for interval in intervals:
+            u = union(interval)
+            if len(u.edges) < need * len(followers):
+                c4 = False
+                break
 
     return [
         ("leader-count", c1),

@@ -527,7 +527,8 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
 
     scripts = {}
     with _field("adversaries"):
-        for spec in _list(data.get("adversaries") or []):
+        raw = data.get("adversaries")
+        for spec in _list([] if raw is None else raw):
             script = _parse_script(spec)
             if script.node in scripts:
                 raise ScenarioError(f"duplicate adversary entry for node {script.node}")

@@ -1,7 +1,4 @@
-import random
-
 import pytest
-from conftest import random_digraph
 from hypothesis import given, strategies as st
 
 from rclab.graphs import (
@@ -12,10 +9,8 @@ from rclab.graphs import (
     all_paths_into,
     compact_schedule,
     in_neighbors_l,
-    path_masks_into,
     union_graph,
 )
-from rclab.robustness import _path_masks
 
 
 def chain(n):
@@ -128,23 +123,6 @@ class TestPaths:
             assert p.destination == 1
             for a, b in zip(p.nodes, p.nodes[1:]):
                 assert (a, b) in g.edges
-
-    @pytest.mark.parametrize("relays_inside_s", [True, False])
-    def test_path_masks_into_matches_path_enumeration(self, relays_inside_s):
-        """The walk gives exactly the distinct (block, body) pairs of the
-        ``Path`` enumeration, for every node, one of them with no in-edge,
-        and every hop bound up to n."""
-        rng = random.Random(3 + relays_inside_s)
-        for _ in range(200):
-            n = rng.randint(1, 9)
-            g = random_digraph(rng, n, rng.uniform(0.1, 0.5))
-            cut = rng.randint(1, n)
-            g = DiGraph(n, frozenset((j, i) for j, i in g.edges if i != cut))
-            for i in g.nodes:
-                for l in range(1, n + 1):
-                    want = set(_path_masks(all_paths_into(g, i, l), relays_inside_s))
-                    assert path_masks_into(g, i, l, relays_inside_s) == want
-                    assert bool(want) == bool(g.in_neighbors(i))
 
 
 class TestTopologySchedule:

@@ -22,6 +22,8 @@ from rclab.robustness import (
     RobustnessVerdict,
     _interval_violation,
     _max_disjoint_paths,
+    _path_masks,
+    _walk_path_masks,
     f_local_sets,
     is_jointly_robust_following,
     is_robust_following_static,
@@ -194,6 +196,23 @@ class TestIndependentPaths:
             got = reachable_r(g, S, 1, l, forbidden=F, relays_inside_s=mode)
             want = brute_independent_paths(g, S, 1, l, forbidden=F, relays_inside_s=mode)
             assert got == want
+
+    @pytest.mark.parametrize("relays_inside_s", [True, False])
+    def test_walk_matches_path_enumeration(self, relays_inside_s):
+        """The peel's walk gives exactly the distinct (block, body) pairs of
+        the ``Path`` enumeration, for every node, one of them with no
+        in-edge, and every hop bound up to n."""
+        rng = random.Random(3 + relays_inside_s)
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            g = random_digraph(rng, n, rng.uniform(0.1, 0.5))
+            cut = rng.randint(1, n)
+            g = DiGraph(n, frozenset((j, i) for j, i in g.edges if i != cut))
+            for i in g.nodes:
+                for l in range(1, n + 1):
+                    want = set(_path_masks(all_paths_into(g, i, l), relays_inside_s))
+                    assert _walk_path_masks(g, i, l, relays_inside_s) == want
+                    assert bool(want) == bool(g.in_neighbors(i))
 
 
 class TestFLocalSets:
