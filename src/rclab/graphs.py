@@ -92,18 +92,6 @@ class Path:
         if len(set(self.nodes)) != len(self.nodes):
             raise GraphError(f"path nodes must be distinct: {self.nodes}")
 
-    @property
-    def source(self) -> int:
-        return self.nodes[0]
-
-    @property
-    def destination(self) -> int:
-        return self.nodes[-1]
-
-    @property
-    def hops(self) -> int:
-        return len(self.nodes) - 1
-
     @cached_property
     def mask(self) -> int:
         """Bitmask of every node but the destination: the nodes that could
@@ -243,7 +231,7 @@ def compact_schedule(
     return TopologySchedule(graphs, s.interval_lengths), mapping
 
 
-# Bitmask helpers for the message-cover solver.
+# Bitmask helpers for the cover search and the checker.
 
 def nodes_bit(nodes: Iterable[int]) -> int:
     m = 0

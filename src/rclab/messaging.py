@@ -1,5 +1,5 @@
-"""Multi-hop message relaying with path provenance, and exact minimum
-message covers.
+"""Multi-hop message relaying with path provenance, and the bounded cover
+search that trims them.
 
 A message is a (value, path) pair, and a message set is a plain tuple of
 messages. Within a round a node that a relay plan covers receives one message
@@ -13,7 +13,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .graphs import DiGraph, Path, all_paths_into, bit_nodes
+from .graphs import DiGraph, Path, all_paths_into
 
 if TYPE_CHECKING:
     from .adversary import AttackScript
@@ -23,37 +23,12 @@ class MessageError(ValueError):
     """Invalid message or message-set operation."""
 
 
-class _MessageFields(NamedTuple):
+class Message(NamedTuple):
+    """A value with the (authentic) path it took; destination is
+    path.nodes[-1]. ``relay_round`` checks that every value is finite."""
+
     value: float
     path: Path
-
-
-class Message(_MessageFields):
-    """A value with the (authentic) path it took; destination is path[-1].
-
-    Immutable, hashable and equal by fields. A tuple underneath, because one
-    is built per delivered path per round.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value: float, path: Path):
-        if not math.isfinite(value):
-            raise MessageError(f"non-finite message value {value}")
-        return tuple.__new__(cls, (value, path))
-
-    @classmethod
-    def _make(cls, iterable):
-        # The namedtuple default skips __new__; _replace goes through here.
-        return cls(*iterable)
-
-    @property
-    def source(self) -> int:
-        return self.path.source
-
-    @property
-    def destination(self) -> int:
-        return self.path.destination
 
 
 class RelayPlan(NamedTuple):
@@ -123,8 +98,8 @@ def relay_round(
         plan = relay_plan({i: all_paths_into(g, i, l) for i in g.nodes}, hooks)
     table = [senders[j] for j in plan.sources]
     table += [hooks[a].emit(k, r) for a, r in plan.emissions]
-    # Each slot is some path's origin, so this is Message's check, made once
-    # per value: the messages below are built without it.
+    # Each slot is some path's origin, so one check per value covers every
+    # message built below.
     for bad in itertools.filterfalse(math.isfinite, table):
         raise MessageError(f"non-finite message value {bad}")
     value = table.__getitem__
@@ -182,47 +157,14 @@ def _hit_prefix(masks: Sequence[int], k: int, chosen: int = 0, start: int = 0) -
     return best
 
 
-def _nonempty(messages: Sequence[Message], who: str) -> Sequence[Message]:
-    if not messages:
-        raise MessageError(f"{who} requires a nonempty message set")
-    return messages
-
-
-def minimum_message_cover(ms: Sequence[Message]) -> tuple[frozenset[int], int]:
-    """A minimum node set hitting every message path (destination excluded).
-
-    Exact: iterative deepening over the bounded search tree, O(m * l^c) for
-    m messages of at most l hops and a minimum cover of size c.
-    Deterministic for a fixed message set.
-    """
-    masks = [m.path.mask for m in _nonempty(ms, "minimum_message_cover")]
-    size = 1
-    while (found := _hit_prefix(masks, size))[0] < len(masks):
-        size += 1
-    return frozenset(bit_nodes(found[1])), size
-
-
 def mmc_cardinality(messages: Sequence[Message], cap: int) -> int:
     """min(minimum cover cardinality, cap + 1): iterative deepening over the
     bounded search tree up to depth cap, O(m * l^c) for c = min(cover, cap + 1).
     """
-    masks = [m.path.mask for m in _nonempty(messages, "mmc_cardinality")]
+    if not messages:
+        raise MessageError("mmc_cardinality requires a nonempty message set")
+    masks = [m.path.mask for m in messages]
     for size in range(1, cap + 1):
         if _hit_prefix(masks, size)[0] == len(masks):
             return size
     return cap + 1
-
-
-def mmc_brute_force_oracle(ms: Sequence[Message]) -> int:
-    """Exhaustive minimum-cover cardinality; refuses > 20 candidate nodes."""
-    messages = _nonempty(ms, "mmc_brute_force_oracle")
-    cand_sets = [set(m.path.nodes) - {m.destination} for m in messages]
-    universe = sorted(set().union(*cand_sets))
-    if len(universe) > 20:
-        raise MessageError(f"oracle size cap exceeded: {len(universe)} candidates > 20")
-    for size in range(1, len(universe) + 1):
-        for combo in itertools.combinations(universe, size):
-            chosen = set(combo)
-            if all(c & chosen for c in cand_sets):
-                return size
-    raise AssertionError("unreachable: the full universe is always a cover")

@@ -79,9 +79,10 @@ class RobustnessVerdict:
             raise GraphError("failing verdict requires a certificate")
 
 
-def _max_disjoint_paths(path_masks: list[int], target: int | None = None) -> int:
+def _max_disjoint_paths(path_masks: list[int], target: int) -> int:
     """Maximum number of pairwise node-disjoint paths (masks exclude the
-    shared endpoint). Branch and bound; early exit once ``target`` reached."""
+    shared endpoint), capped at ``target``. Branch and bound; early exit
+    once ``target`` is reached."""
     masks = sorted(set(path_masks), key=lambda m: (m.bit_count(), m))
     best = 0
 
@@ -89,7 +90,7 @@ def _max_disjoint_paths(path_masks: list[int], target: int | None = None) -> int
         nonlocal best
         if count > best:
             best = count
-        if target is not None and best >= target:
+        if best >= target:
             return
         remaining = len(masks) - idx
         if count + remaining <= best:
@@ -97,7 +98,7 @@ def _max_disjoint_paths(path_masks: list[int], target: int | None = None) -> int
         for i in range(idx, len(masks)):
             if masks[i] & used == 0:
                 search(i + 1, used | masks[i], count + 1)
-                if target is not None and best >= target:
+                if best >= target:
                     return
 
     search(0, 0, 0)
@@ -109,11 +110,7 @@ def _path_masks(paths, relays_inside_s: bool) -> list[tuple[int, int]]:
     every node but the endpoint; the path may serve S exactly when its
     blocking nodes (the source, or the whole body under strict relays)
     avoid S."""
-    out = []
-    for p in paths:
-        body = nodes_bit(p.nodes[:-1])
-        out.append((1 << p.nodes[0] if relays_inside_s else body, body))
-    return out
+    return [(1 << p.nodes[0] if relays_inside_s else p.mask, p.mask) for p in paths]
 
 
 def _walk_path_masks(g: DiGraph, dst: int, l: int, relays_inside_s: bool) -> set[tuple[int, int]]:

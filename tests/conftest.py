@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, settings
 
 from rclab import agents
 from rclab.graphs import DiGraph
+from rclab.messaging import MessageError
 from rclab.scenario import corpus_path, load_scenario, load_topology
 
 settings.register_profile(
@@ -34,6 +36,22 @@ def random_digraph(rng: random.Random, n: int, p: float = 0.4) -> DiGraph:
         if j != i and rng.random() < p
     ]
     return DiGraph.from_edges(n, edges)
+
+
+def mmc_brute_force_oracle(ms) -> int:
+    """Exhaustive minimum-cover cardinality; refuses > 20 candidate nodes."""
+    if not ms:
+        raise MessageError("mmc_brute_force_oracle requires a nonempty message set")
+    cand_sets = [set(m.path.nodes[:-1]) for m in ms]
+    universe = sorted(set().union(*cand_sets))
+    if len(universe) > 20:
+        raise MessageError(f"oracle size cap exceeded: {len(universe)} candidates > 20")
+    for size in range(1, len(universe) + 1):
+        for combo in itertools.combinations(universe, size):
+            chosen = set(combo)
+            if all(c & chosen for c in cand_sets):
+                return size
+    raise AssertionError("unreachable: the full universe is always a cover")
 
 
 @pytest.fixture(autouse=True)

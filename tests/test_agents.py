@@ -14,12 +14,9 @@ from rclab.agents import (
     second_order_step,
 )
 from rclab.graphs import Path
-from rclab.messaging import (
-    Message,
-    mmc_brute_force_oracle,
-    mmc_cardinality,
-)
+from rclab.messaging import Message, mmc_cardinality
 from rclab.scenario import ControlParams, ReferenceFunction, ScenarioError
+from conftest import mmc_brute_force_oracle
 
 
 def one_hop_set(pairs, dest=99):

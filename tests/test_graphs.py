@@ -119,8 +119,8 @@ class TestPaths:
         g = DiGraph.from_edges(n, edges)
         for p in all_paths_into(g, 1, l):
             assert len(set(p.nodes)) == len(p.nodes)
-            assert 1 <= p.hops <= l
-            assert p.destination == 1
+            assert 2 <= len(p.nodes) <= l + 1
+            assert p.nodes[-1] == 1
             for a, b in zip(p.nodes, p.nodes[1:]):
                 assert (a, b) in g.edges
 

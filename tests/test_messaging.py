@@ -6,19 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rclab.adversary import AttackScript, Waveform
-from rclab.graphs import DiGraph, GraphError, Path, all_paths_into
+from rclab.graphs import DiGraph, GraphError, Path, all_paths_into, bit_nodes
 from rclab.messaging import (
     Message,
     MessageError,
     _hit_prefix,
-    minimum_message_cover,
-    mmc_brute_force_oracle,
     mmc_cardinality,
     relay_plan,
     relay_round,
 )
 from rclab.scenario import corpus_names
-from conftest import random_digraph, scenario as corpus_scenario
+from conftest import mmc_brute_force_oracle, random_digraph, scenario as corpus_scenario
 
 SIMULATING = [name for name in corpus_names() if not name.startswith("net")]
 
@@ -32,15 +30,25 @@ def coverable(side, k):
     return _hit_prefix([m.path.mask for m in side], k)[0]
 
 
+def minimum_cover(side):
+    """(nodes, cardinality) of a minimum cover: ``mmc_cardinality`` with a
+    cap no cover exceeds, and the node mask ``_hit_prefix`` returns at that
+    depth."""
+    card = mmc_cardinality(side, len(side))
+    p, mask = _hit_prefix([m.path.mask for m in side], card)
+    assert p == len(side)
+    return set(bit_nodes(mask)), card
+
+
 def walk_relay_round(g, senders, l, k, hooks):
     """Reference relay: every path walks every relay, one hop at a time."""
     out = {}
     for i in g.nodes:
         msgs = []
         for p in all_paths_into(g, i, l):
-            hook = hooks.get(p.source)
-            value = hook.emit(k, p.nodes[1]) if hook is not None else senders[p.source]
-            for pos in range(1, p.hops):
+            hook = hooks.get(p.nodes[0])
+            value = hook.emit(k, p.nodes[1]) if hook is not None else senders[p.nodes[0]]
+            for pos in range(1, len(p.nodes) - 1):
                 relay_hook = hooks.get(p.nodes[pos])
                 if relay_hook is not None:
                     value = relay_hook.relay(value, k, p.nodes[pos + 1])
@@ -104,11 +112,6 @@ class FixedScript:
 
 
 class TestMessageTypes:
-    def test_rejects_non_finite(self):
-        for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(MessageError):
-                Message(bad, Path((1, 2)))
-
     def test_immutable(self):
         m = Message(1.0, Path((1, 2)))
         with pytest.raises(AttributeError):
@@ -121,20 +124,14 @@ class TestMessageTypes:
         a, b = Message(1.5, Path((1, 3, 2))), Message(1.5, Path((1, 3, 2)))
         assert a == b and hash(a) == hash(b)
         assert len({a, b, Message(1.5, Path((3, 2)))}) == 2
-        assert (a.source, a.destination) == (1, 2)
-
-    def test_replace_keeps_finiteness_check(self):
-        m = Message(1.0, Path((1, 2)))
-        assert m._replace(value=3.0) == Message(3.0, Path((1, 2)))
-        with pytest.raises(MessageError):
-            m._replace(value=float("nan"))
+        assert a.value == 1.5 and a.path.nodes == (1, 3, 2)
 
 
 class TestRelayRound:
     def test_one_hop_values_are_sender_states(self):
         g = DiGraph.from_edges(3, [(1, 3), (2, 3)])
         out = relay_round(g, {1: 1.5, 2: 2.5, 3: 0.0}, l=1)
-        got = {(m.source, m.value) for m in out[3]}
+        got = {(m.path.nodes[0], m.value) for m in out[3]}
         assert got == {(1, 1.5), (2, 2.5)}
 
     def test_chain_two_hops_all_normal(self):
@@ -289,43 +286,32 @@ class TestRelayRound:
 
 class TestMinimumMessageCover:
     def test_single_message(self):
-        cover, card = minimum_message_cover(ms((1.0, (1, 2))))
+        cover, card = minimum_cover(ms((1.0, (1, 2))))
         assert card == 1 and cover == {1}
 
     def test_disjoint_paths_need_two(self):
-        _, card = minimum_message_cover(ms((1.0, (1, 4)), (2.0, (2, 3, 4))))
+        _, card = minimum_cover(ms((1.0, (1, 4)), (2.0, (2, 3, 4))))
         assert card == 2
 
     def test_shared_relay_covers_both(self):
-        cover, card = minimum_message_cover(ms((1.0, (1, 3, 4)), (2.0, (2, 3, 4))))
+        cover, card = minimum_cover(ms((1.0, (1, 3, 4)), (2.0, (2, 3, 4))))
         assert cover == {3} and card == 1
 
     def test_destination_never_in_cover(self):
-        cover, _ = minimum_message_cover(ms((1.0, (1, 4)), (2.0, (2, 4))))
+        cover, _ = minimum_cover(ms((1.0, (1, 4)), (2.0, (2, 4))))
         assert 4 not in cover
-
-    def test_self_path_is_domain_error(self):
-        # A one-node path has no node to cover, so no message can carry one.
-        with pytest.raises(GraphError):
-            minimum_message_cover((Message(1.0, Path((2,))),))
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(MessageError):
-            minimum_message_cover(())
 
     def test_cover_is_sound_and_minimal(self):
         rng = random.Random(7)
         for _ in range(100):
             g = random_digraph(rng, rng.randint(3, 8))
             dst = 1
-            from rclab.graphs import all_paths_into
-
             paths = all_paths_into(g, dst, 3)
             if not paths:
                 continue
             picked = rng.sample(paths, min(len(paths), rng.randint(1, 6)))
             s = tuple(Message(float(i), p) for i, p in enumerate(picked))
-            cover, card = minimum_message_cover(s)
+            cover, card = minimum_cover(s)
             assert len(cover) == card
             for m in s:
                 assert cover & (set(m.path.nodes) - {dst})
@@ -431,7 +417,7 @@ class TestMinimumMessageCover:
 
     def test_cardinality_bounds(self):
         s = ms((1.0, (1, 2, 5)), (2.0, (3, 2, 5)), (3.0, (4, 5)))
-        _, card = minimum_message_cover(s)
+        _, card = minimum_cover(s)
         assert 1 <= card <= len(s)
         assert card <= min(len(set(m.path.nodes)) - 1 for m in s) * len(s)
         assert mmc_cardinality(list(s), card) == card

@@ -38,7 +38,7 @@ def brute_independent_paths(g, S, i, l, forbidden=frozenset(), relays_inside_s=T
     into i from sources outside S."""
     cands = []
     for p in all_paths_into(g, i, l):
-        if p.source in S or any(v in forbidden for v in p.nodes):
+        if p.nodes[0] in S or any(v in forbidden for v in p.nodes):
             continue
         if not relays_inside_s and any(v in S for v in p.nodes[1:-1]):
             continue
