@@ -1,5 +1,5 @@
-"""Multi-hop message relaying with path provenance, and the bounded cover
-search that trims them.
+"""Multi-hop message relaying with path provenance, and the bounded search
+for message covers that the trim runs.
 
 A message is a (value, path) pair, and a message set is a plain tuple of
 messages. Within a round a node that a relay plan covers receives one message
@@ -24,8 +24,9 @@ class MessageError(ValueError):
 
 
 class Message(NamedTuple):
-    """A value with the (authentic) path it took; destination is
-    path.nodes[-1]. ``relay_round`` checks that every value is finite."""
+    """A value with the (authentic) path it took; the destination is
+    path.nodes[-1]. A plain tuple, because one is built per delivered path
+    per round; ``relay_round`` checks each value's finiteness once."""
 
     value: float
     path: Path
