@@ -8,7 +8,7 @@ Each verdict line ends with the time the verdict took (``time.perf_counter``).
 
 import time
 
-from rclab.graphs import compact_schedule, direct_leader_followers, union_graph
+from rclab.graphs import union_graph
 from rclab.robustness import (
     RobustnessQuery,
     is_jointly_robust_following,
@@ -16,7 +16,7 @@ from rclab.robustness import (
     necessary_conditions,
     strongly_robust_wrt_leaders,
 )
-from rclab.scenario import corpus_path, load_topology
+from rclab.scenario import corpus_path, load_scenario, load_topology
 
 
 def check(label, got, want, seconds=None):
@@ -61,9 +61,7 @@ def main():
     v, s = timed(is_jointly_robust_following, RobustnessQuery(sched15, l15, r=3, l=3, f=2))
     ok &= check("net15 r=3 l=3 f=2", v.holds, True, s)
 
-    sched7, l7 = load_topology(corpus_path("net7_secure"))
-    reduced, mapping = compact_schedule(sched7, set(range(1, sched7.n + 1)) - l7)
-    virtual = frozenset(mapping[i] for i in direct_leader_followers(union_graph(sched7), l7))
+    reduced, virtual = load_scenario(corpus_path("secure_leader")).secure_reduced()
     v, s = timed(is_jointly_robust_following, RobustnessQuery(reduced, virtual, r=2, l=1, f=1))
     ok &= check("net7_secure reduced r=2 l=1 f=1", v.holds, True, s)
 

@@ -102,7 +102,6 @@ class AttackScript:
 @dataclass(frozen=True)
 class LocalityReport:
     f_local: bool
-    f_total: bool
     witness: tuple[int, int] | None = None  # (node, round) violating f-local
 
 
@@ -123,7 +122,7 @@ def validate_f_local(
                 break
         if witness:
             break
-    return LocalityReport(witness is None, len(adv) <= f, witness)
+    return LocalityReport(witness is None, witness)
 
 
 def necessity_attack(

@@ -37,7 +37,6 @@ class Trace:
     """
 
     scenario: Scenario
-    axis: int
     x: list[dict[int, float]] = field(default_factory=list)
     v: list[dict[int, float]] = field(default_factory=list)
     retained_mean: list[dict[int, float]] = field(default_factory=list)
@@ -194,7 +193,7 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
     plans = {}
 
     x, v = _initial_axis_state(scenario, axis)
-    trace = Trace(scenario, axis)
+    trace = Trace(scenario)
     metric_nodes = trace.normal_nodes
     max_rounds = scenario.max_rounds
     last_piece_start = ref.pieces[-1][0]

@@ -15,7 +15,6 @@ the number of followers. Independent paths are counted by branch and bound.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,7 +27,6 @@ from .graphs import (
     direct_leader_followers,
     in_neighbors_l,
     nodes_bit,
-    union_graph,
 )
 
 
@@ -173,16 +171,13 @@ def jointly_reachable(
     return False, None
 
 
-def _neighborhood_table(
-    schedule: TopologySchedule, l: int
-) -> dict[int, list[frozenset[int]]]:
-    """N_i^{l-}[k] for every node i and scheduled step k of one period."""
-    table: dict[int, list[frozenset[int]]] = {}
-    for i in range(1, schedule.n + 1):
-        table[i] = [
-            in_neighbors_l(schedule.graphs[k], i, l) for k in range(schedule.period)
-        ]
-    return table
+def _neighborhood_table(schedule: TopologySchedule, l: int) -> dict[int, set[int]]:
+    """The distinct N_i^{l-}[k] over the steps k of one period, as bitmasks,
+    for every node i."""
+    return {
+        i: {nodes_bit(in_neighbors_l(g, i, l)) for g in schedule.graphs}
+        for i in range(1, schedule.n + 1)
+    }
 
 
 def f_local_sets(schedule: TopologySchedule, l: int, f: int):
@@ -208,8 +203,7 @@ def f_local_sets(schedule: TopologySchedule, l: int, f: int):
     # For each node v, the nodes whose neighborhoods contain v (the only ones
     # adding v can crowd), each with those neighborhoods as bitmasks.
     watch: dict[int, list[tuple[int, set[int]]]] = {v: [] for v in table}
-    for i, nbs in table.items():
-        masks = {nodes_bit(nb) for nb in nbs}
+    for i, masks in table.items():
         for v in table:
             hit = {m for m in masks if m >> v & 1}
             if hit:
@@ -360,59 +354,28 @@ def strongly_robust_wrt_leaders(g: DiGraph, leaders, r: int) -> bool:
 
 def necessary_conditions(q: RobustnessQuery) -> list[tuple[str, bool]]:
     """Four necessary conditions for the jointly (f+1)-robust following
-    property; a cheap pre-filter before full enumeration."""
-    schedule, leaders, f, l = q.schedule, q.leaders, q.f, q.l
-    need = 2 * f + 1
+    property, reported beside the exact verdict; nothing filters on them.
+    With need = 2f + 1: at least need leaders; in every interval, a follower
+    with need leaders within l hops at some step; need followers with a
+    direct in-edge from a leader in the interval's union graph (its W_L, the
+    union of each step's W_L); every follower with need in-neighbors at some
+    step, which gives the union graph at least need * |followers| edges."""
+    schedule, leaders, l = q.schedule, q.leaders, q.l
+    need = 2 * q.f + 1
     followers = sorted(set(range(1, schedule.n + 1)) - leaders)
-    intervals = schedule.intervals()
-
-    c1 = len(leaders) >= need
-
-    c2 = True
-    for interval in intervals:
-        hit = False
-        for k in interval:
-            g = schedule.graph_at(k)
-            for i in followers:
-                if len(in_neighbors_l(g, i, l) & leaders) >= need:
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            c2 = False
-            break
-
-    # c3 and the edge count of c4 share each interval's union graph
-    union = functools.cache(functools.partial(union_graph, schedule))
-
-    c3 = True
-    for interval in intervals:
-        u = union(interval)
-        if len(direct_leader_followers(u, leaders)) < need:
-            c3 = False
-            break
-
-    c4 = True
-    for interval in intervals:
-        for i in followers:
-            if not any(
-                len(schedule.graph_at(k).in_neighbors(i)) >= need for k in interval
-            ):
-                c4 = False
-                break
-        if not c4:
-            break
-    if c4 and len(leaders) == need:
-        for interval in intervals:
-            u = union(interval)
-            if len(u.edges) < need * len(followers):
-                c4 = False
-                break
-
+    steps = [[schedule.graph_at(k) for k in interval] for interval in schedule.intervals()]
     return [
-        ("leader-count", c1),
-        ("leader-coverage", c2),
-        ("direct-leader-followers", c3),
-        ("follower-in-degree", c4),
+        ("leader-count", len(leaders) >= need),
+        ("leader-coverage", all(
+            any(len(in_neighbors_l(g, i, l) & leaders) >= need for g in gs for i in followers)
+            for gs in steps
+        )),
+        ("direct-leader-followers", all(
+            len(set().union(*(direct_leader_followers(g, leaders) for g in gs))) >= need
+            for gs in steps
+        )),
+        ("follower-in-degree", all(
+            any(len(g.in_neighbors(i)) >= need for g in gs)
+            for gs in steps for i in followers
+        )),
     ]

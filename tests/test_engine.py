@@ -151,6 +151,20 @@ class TestContractionOracle:
         assert not any(contraction_oracle(t) for t in result.traces)
 
 
+class TestEnvelopeOracle:
+    def test_fails_when_the_envelope_widens_inside_a_segment(self):
+        sc = make_scenario(reference=ReferenceFunction(((0, 1.0), (20, 3.0))), tol=1e-7)
+        result = run(sc)
+        trace = result.traces[0]
+        assert result.converged and envelope_nesting_holds(trace)
+        segment, _ = sc.reference.segments(trace.rounds)[-1]
+        k = segment[len(segment) // 2]
+        assert segment[0] + 1 < k  # nesting starts the round after the step
+        x = [dict(states) for states in trace.x]
+        x[k][3] = max(x[k - 1][i] for i in trace.normal_nodes) + 1.0
+        assert not envelope_nesting_holds(dataclasses.replace(trace, x=x))
+
+
 class TestConvergenceReport:
     def test_already_converged_round_zero(self):
         sc = make_scenario(init={2: ((1.0,),), 3: ((1.0,),), 4: ((1.0,),)})

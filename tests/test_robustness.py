@@ -11,8 +11,10 @@ from rclab.graphs import (
     GraphError,
     TopologySchedule,
     all_paths_into,
+    direct_leader_followers,
     in_neighbors_l,
     nodes_bit,
+    union_graph,
 )
 from rclab import robustness
 from rclab.scenario import load_topology
@@ -450,6 +452,36 @@ def sched(g):
     return TopologySchedule.static(g)
 
 
+def oracle_necessary_conditions(q):
+    """The four necessary conditions as defined, each interval read through
+    its union graph, with the follower-in-degree edge count kept. Also
+    returns whether the edge count ever failed where the in-degree rule
+    held."""
+    schedule, leaders, l = q.schedule, q.leaders, q.l
+    need = 2 * q.f + 1
+    followers = sorted(set(range(1, schedule.n + 1)) - leaders)
+    coverage = wl = in_degree = True
+    edge_count_binds = False
+    for interval in schedule.intervals():
+        graphs = [schedule.graph_at(k) for k in interval]
+        union = union_graph(schedule, interval)
+        coverage &= any(
+            len(in_neighbors_l(g, i, l) & leaders) >= need for g in graphs for i in followers
+        )
+        wl &= len(direct_leader_followers(union, leaders)) >= need
+        rule = all(any(len(g.in_neighbors(i)) >= need for g in graphs) for i in followers)
+        edges = len(union.edges) >= need * len(followers)
+        edge_count_binds |= rule and not edges
+        in_degree &= rule and (edges or len(leaders) != need)
+    conds = [
+        ("leader-count", len(leaders) >= need),
+        ("leader-coverage", coverage),
+        ("direct-leader-followers", wl),
+        ("follower-in-degree", in_degree),
+    ]
+    return conds, edge_count_binds
+
+
 class TestNecessaryConditions:
     def as_dict(self, q):
         return dict(necessary_conditions(q))
@@ -485,6 +517,25 @@ class TestNecessaryConditions:
         schedule, leaders = net15
         conds = self.as_dict(RobustnessQuery(schedule, leaders, 3, 3, 2))
         assert all(conds.values())
+
+    def test_matches_definitions_on_random_schedules(self):
+        rng = random.Random(23)
+        failures = dict.fromkeys(["leader-count", "leader-coverage",
+                                  "direct-leader-followers", "follower-in-degree"], 0)
+        for _ in range(2000):
+            n = rng.randint(2, 10)
+            lengths = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+            p = rng.uniform(0.1, 0.8)
+            graphs = tuple(random_digraph(rng, n, p) for _ in range(sum(lengths)))
+            leaders = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+            q = RobustnessQuery(TopologySchedule(graphs, lengths), leaders,
+                                1, rng.randint(1, 3), rng.randint(0, 2))
+            want, edge_count_binds = oracle_necessary_conditions(q)
+            assert necessary_conditions(q) == want
+            assert not edge_count_binds
+            for name, ok in want:
+                failures[name] += not ok
+        assert all(failures.values()), failures
 
 
 def layered_circulant(rng, m, n_leaders, r, f, d):

@@ -330,6 +330,19 @@ class TestCli:
                           "--r", "1", "--l", "1", "--f", "0")
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [("--r", "0", "r must be >= 1"), ("--l", "0", "l must be >= 1"),
+         ("--f", "-1", "f must be >= 0")],
+        ids=["r-zero", "l-zero", "f-negative"],
+    )
+    def test_check_robustness_rejects_parameter(self, option, value, message):
+        params = {"--r": "1", "--l": "1", "--f": "0", option: value}
+        res = self.invoke("check-robustness", "--topology", "net9",
+                          *[x for pair in params.items() for x in pair])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert res.stderr.startswith(f"error: {message}") and "Traceback" not in res.output
+
     def test_simulate_convergent(self, tmp_path):
         res = self.invoke("simulate", "--scenario", "secure_leader",
                           "--out-dir", str(tmp_path))
@@ -377,6 +390,14 @@ class TestCli:
         res = self.invoke("validate", "--scenario", str(p))
         assert res.exit_code == 1
         assert "missing initial values" in res.output
+
+    def test_validate_rejects_empty_leaders(self, workspace):
+        (workspace / "topo.yaml").write_text(MINI_TOPOLOGY.replace("leaders: [1]", "leaders: []"))
+        p = workspace / "scn.yaml"
+        p.write_text(mini_scenario_yaml(init="{1: 1.0, 2: 3.0, 3: 5.0, 4: 2.0}"))
+        res = self.invoke("validate", "--scenario", str(p))
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert res.stderr == "invalid: at least one leader required\n"
 
     def test_validate_reports_hop_count(self, workspace):
         p = workspace / "scn.yaml"
@@ -659,11 +680,15 @@ class TestMalformedInput:
             }}]}, "node id 99 outside 1..4"),
             ({"algorithm": "mdp-msr", "T": 1.0e300, "beta": 1.65},
              "sampling period T must be in (0, 1], got 1e+300"),
+            ({"delta": {2: [0.5, 0.5]}}, "error: delta[2]: need one offset per axis"),
+            ({"adversaries": [{"node": 4, "emit": {"center": 2.0, "period": 0}}]},
+             "error: malformed 'adversaries': waveform period must be >= 1, got 0"),
         ],
         ids=["init-nan", "delta-inf", "center-inf", "group-amplitude-nan",
              "square-swing-overflows", "sinusoid-swing-overflows",
              "tol-nan", "tol-inf", "second-order-init-empty-axis",
-             "second-order-init-three-values", "receiver-outside", "huge-T"],
+             "second-order-init-three-values", "receiver-outside", "huge-T",
+             "delta-offset-count", "period-zero"],
     )
     def test_invalid_value_fails_validate_and_simulate(self, workspace, over, message):
         p = workspace / "scn.yaml"
