@@ -185,19 +185,9 @@ class TopologySchedule:
         return TopologySchedule((g,), (1,))
 
 
-def union_graph(s: TopologySchedule, index_range: range | None = None) -> DiGraph:
-    """Union of edge sets over an index range of the schedule (default: all)."""
-    if index_range is None:
-        index_range = range(s.period)
-    ks = list(index_range)
-    if not ks:
-        raise GraphError("union over an empty range")
-    if any(k < 0 or k >= s.period for k in ks):
-        raise GraphError(f"range {index_range} outside schedule of length {s.period}")
-    edges: set[tuple[int, int]] = set()
-    for k in ks:
-        edges |= s.graphs[k].edges
-    return DiGraph(s.n, frozenset(edges))
+def union_graph(s: TopologySchedule) -> DiGraph:
+    """Union of the edge sets of every graph of the schedule."""
+    return DiGraph(s.n, frozenset().union(*(g.edges for g in s.graphs)))
 
 
 def direct_leader_followers(g: DiGraph, leaders) -> frozenset[int]:
@@ -206,29 +196,6 @@ def direct_leader_followers(g: DiGraph, leaders) -> frozenset[int]:
     return frozenset(
         i for (j, i) in g.edges if j in leaders and i not in leaders
     )
-
-
-def compact_schedule(
-    s: TopologySchedule, keep: Iterable[int]
-) -> tuple[TopologySchedule, dict[int, int]]:
-    """Subgraphs induced by ``keep``, relabeled to 1..m preserving id order;
-    every graph shares the returned old->new id mapping."""
-    kept = sorted(set(keep))
-    for i in kept:
-        s.graphs[0].check_node(i)
-    mapping = {old: new for new, old in enumerate(kept, start=1)}
-    graphs = tuple(
-        DiGraph(
-            len(kept),
-            frozenset(
-                (mapping[j], mapping[i])
-                for (j, i) in g.edges
-                if j in mapping and i in mapping
-            ),
-        )
-        for g in s.graphs
-    )
-    return TopologySchedule(graphs, s.interval_lengths), mapping
 
 
 # Bitmask helpers for the cover search and the checker.

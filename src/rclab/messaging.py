@@ -133,20 +133,6 @@ def _hit_prefix(masks: Sequence[int], k: int, chosen: int = 0, start: int = 0) -
     if k <= 0:
         return best
     rest = masks[idx]
-    if k == 1:
-        # The leaves, scanned here rather than by one call each.
-        while rest:
-            low = rest & -rest
-            leaf = chosen | low
-            for end in range(idx + 1, m):
-                if not masks[end] & leaf:
-                    break
-            else:
-                return m, leaf
-            if end > best[0]:
-                best = (end, leaf)
-            rest ^= low
-        return best
     while rest:
         low = rest & -rest
         found = _hit_prefix(masks, k - 1, chosen | low, idx + 1)

@@ -24,7 +24,6 @@ from .graphs import (
     TopologySchedule,
     all_paths_into,
     bit_nodes,
-    direct_leader_followers,
     in_neighbors_l,
     nodes_bit,
 )
@@ -353,29 +352,33 @@ def strongly_robust_wrt_leaders(g: DiGraph, leaders, r: int) -> bool:
 
 
 def necessary_conditions(q: RobustnessQuery) -> list[tuple[str, bool]]:
-    """Four necessary conditions for the jointly (f+1)-robust following
-    property, reported beside the exact verdict; nothing filters on them.
-    With need = 2f + 1: at least need leaders; in every interval, a follower
-    with need leaders within l hops at some step; need followers with a
-    direct in-edge from a leader in the interval's union graph (its W_L, the
-    union of each step's W_L); every follower with need in-neighbors at some
-    step, which gives the union graph at least need * |followers| edges."""
-    schedule, leaders, l = q.schedule, q.leaders, q.l
-    need = 2 * q.f + 1
+    """Three necessary conditions for the queried property, reported beside
+    the exact verdict; nothing filters on them. Each fails only where the
+    property fails, since it names an F and S that violate. With no follower
+    the property holds, and so does every condition.
+
+    - leader-count, |L| >= r + f: under F = f leaders (any f nodes are
+      f-local) and S = every follower, r disjoint paths need r sources in
+      L outside F.
+    - leader-coverage, in every interval a follower with r leaders within l
+      hops at some step: under F = ∅ and S = every follower, the sources of
+      some follower's r disjoint paths are r leaders.
+    - follower-in-degree, every follower with r in-neighbors at some step
+      of every interval, r + f if the interval has one step: under S = {i},
+      the last hops of i's r disjoint paths are r in-neighbors, and with one
+      step F = f of them leaves fewer than r.
+    """
+    schedule, leaders, r, l = q.schedule, q.leaders, q.r, q.l
     followers = sorted(set(range(1, schedule.n + 1)) - leaders)
     steps = [[schedule.graph_at(k) for k in interval] for interval in schedule.intervals()]
     return [
-        ("leader-count", len(leaders) >= need),
-        ("leader-coverage", all(
-            any(len(in_neighbors_l(g, i, l) & leaders) >= need for g in gs for i in followers)
-            for gs in steps
-        )),
-        ("direct-leader-followers", all(
-            len(set().union(*(direct_leader_followers(g, leaders) for g in gs))) >= need
+        ("leader-count", not followers or len(leaders) >= r + q.f),
+        ("leader-coverage", not followers or all(
+            any(len(in_neighbors_l(g, i, l) & leaders) >= r for g in gs for i in followers)
             for gs in steps
         )),
         ("follower-in-degree", all(
-            any(len(g.in_neighbors(i)) >= need for g in gs)
+            any(len(g.in_neighbors(i)) >= (r + q.f if len(gs) == 1 else r) for g in gs)
             for gs in steps for i in followers
         )),
     ]

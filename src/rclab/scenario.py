@@ -20,14 +20,7 @@ from pathlib import Path as FsPath
 import yaml
 
 from .adversary import AttackScript, Waveform, validate_f_local
-from .graphs import (
-    DiGraph,
-    GraphError,
-    TopologySchedule,
-    compact_schedule,
-    direct_leader_followers,
-    union_graph,
-)
+from .graphs import DiGraph, GraphError, TopologySchedule, direct_leader_followers
 
 
 class ScenarioError(ValueError):
@@ -367,15 +360,24 @@ class Scenario:
         return self.leaders - self.adversaries
 
     def secure_virtual_leaders(self) -> frozenset[int]:
-        """Followers adjacent to a leader anywhere in the schedule union."""
-        return direct_leader_followers(union_graph(self.schedule), self.leaders)
+        """Followers adjacent to a leader at some step of the schedule."""
+        return frozenset().union(
+            *(direct_leader_followers(g, self.leaders) for g in self.schedule.graphs)
+        )
 
     def secure_reduced(self) -> tuple[TopologySchedule, frozenset[int]]:
-        """The leaderless follower schedule (relabeled to 1..m) and its
-        virtual leader set, as used by the secure-leader variant."""
-        reduced, mapping = compact_schedule(self.schedule, self.followers)
-        virtual = frozenset(mapping[i] for i in self.secure_virtual_leaders())
-        return reduced, virtual
+        """The leaderless follower schedule and its virtual leader set, as
+        used by the secure-leader variant. Followers are relabeled to 1..m in
+        id order, by one map for every graph."""
+        new = {old: k for k, old in enumerate(sorted(self.followers), start=1)}
+        graphs = tuple(
+            DiGraph(len(new), frozenset(
+                (new[j], new[i]) for j, i in g.edges if j in new and i in new
+            ))
+            for g in self.schedule.graphs
+        )
+        virtual = frozenset(map(new.__getitem__, self.secure_virtual_leaders()))
+        return TopologySchedule(graphs, self.schedule.interval_lengths), virtual
 
     def validation_errors(self) -> list[str]:
         errors: list[str] = []

@@ -301,14 +301,9 @@ def test_criterion_10_necessary_condition_filters():
     violations = (
         not cond(complete6, {1, 2}, "leader-count"),
         not cond(
-            DiGraph.from_edges(5, [(1, 4), (2, 4), (1, 5), (3, 5), (4, 5), (5, 4)]),
+            DiGraph.from_edges(5, [(1, 4), (2, 5), (4, 5), (5, 4)]),
             {1, 2, 3},
             "leader-coverage",
-        ),
-        not cond(
-            DiGraph.from_edges(6, [(1, 4), (2, 4), (3, 4), (4, 5), (4, 6), (5, 6), (6, 5)]),
-            {1, 2, 3},
-            "direct-leader-followers",
         ),
         not cond(
             DiGraph.from_edges(5, [(1, 4), (2, 4), (3, 4), (1, 5), (4, 5)]),
@@ -319,7 +314,7 @@ def test_criterion_10_necessary_condition_filters():
     ok = ok and all(violations)
     check(
         10,
-        "all four pre-filters pass on every shipped operating point and each "
+        "all three necessary conditions pass on every shipped operating point and each "
         "synthetic violation is rejected",
         ok,
     )

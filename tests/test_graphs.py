@@ -7,7 +7,6 @@ from rclab.graphs import (
     Path,
     TopologySchedule,
     all_paths_into,
-    compact_schedule,
     in_neighbors_l,
     union_graph,
 )
@@ -155,24 +154,3 @@ class TestTopologySchedule:
         b = DiGraph.from_edges(3, [(2, 3)])
         s = TopologySchedule((a, b), (2,))
         assert union_graph(s).edges == {(1, 2), (2, 3)}
-        assert union_graph(s, range(0, 1)).edges == {(1, 2)}
-        with pytest.raises(GraphError):
-            union_graph(s, range(0, 3))
-
-
-class TestCompact:
-    def test_relabel_preserves_structure(self):
-        g = DiGraph.from_edges(5, [(2, 4), (4, 5), (1, 2)])
-        cs, mapping = compact_schedule(TopologySchedule.static(g), {2, 4, 5})
-        assert mapping == {2: 1, 4: 2, 5: 3}
-        assert cs.n == 3
-        assert cs.graphs[0].edges == {(1, 2), (2, 3)}
-
-    def test_schedule_compact(self):
-        a = DiGraph.from_edges(4, [(1, 2), (3, 4)])
-        b = DiGraph.from_edges(4, [(2, 3)])
-        s = TopologySchedule((a, b), (2,))
-        cs, mapping = compact_schedule(s, {2, 3, 4})
-        assert cs.n == 3
-        assert cs.graphs[0].edges == {(mapping[3], mapping[4])}
-        assert cs.graphs[1].edges == {(mapping[2], mapping[3])}

@@ -11,10 +11,8 @@ from rclab.graphs import (
     GraphError,
     TopologySchedule,
     all_paths_into,
-    direct_leader_followers,
     in_neighbors_l,
     nodes_bit,
-    union_graph,
 )
 from rclab import robustness
 from rclab.scenario import load_topology
@@ -376,7 +374,7 @@ class TestJointlyRobustFollowing:
     def test_failing_f_larger_than_f_times_n_over_min_neighborhood(self):
         """Every node has an in-neighbor, so f * ceil(n / min |N_i^{l-}|) is
         2 here, yet the only failing F has 3 nodes: the enumeration must not
-        stop at that bound. All four necessary conditions pass."""
+        stop at that bound. All three necessary conditions pass."""
         edges = [
             (1, 4), (1, 5), (1, 7), (2, 4), (2, 5), (2, 8), (3, 1), (3, 4),
             (3, 7), (4, 1), (4, 2), (4, 3), (4, 6), (4, 7), (4, 8), (5, 1),
@@ -452,34 +450,50 @@ def sched(g):
     return TopologySchedule.static(g)
 
 
+def forward_reach(g, j, l):
+    """Nodes that j reaches in 1..l hops, walking forward along out-edges."""
+    seen, frontier = set(), {j}
+    for _ in range(l):
+        frontier = {i for a, i in g.edges if a in frontier} - seen
+        seen |= frontier
+    return seen - {j}
+
+
 def oracle_necessary_conditions(q):
-    """The four necessary conditions as defined, each interval read through
-    its union graph, with the follower-in-degree edge count kept. Also
-    returns whether the edge count ever failed where the in-degree rule
-    held."""
-    schedule, leaders, l = q.schedule, q.leaders, q.l
-    need = 2 * q.f + 1
+    """The three necessary conditions as defined, leaders within l hops
+    found by walking forward from each leader and in-degrees counted on the
+    edge sets."""
+    schedule, leaders, r, f = q.schedule, q.leaders, q.r, q.f
     followers = sorted(set(range(1, schedule.n + 1)) - leaders)
-    coverage = wl = in_degree = True
-    edge_count_binds = False
+    coverage = in_degree = True
     for interval in schedule.intervals():
         graphs = [schedule.graph_at(k) for k in interval]
-        union = union_graph(schedule, interval)
         coverage &= any(
-            len(in_neighbors_l(g, i, l) & leaders) >= need for g in graphs for i in followers
+            sum(i in forward_reach(g, j, q.l) for j in leaders) >= r
+            for g in graphs for i in followers
         )
-        wl &= len(direct_leader_followers(union, leaders)) >= need
-        rule = all(any(len(g.in_neighbors(i)) >= need for g in graphs) for i in followers)
-        edges = len(union.edges) >= need * len(followers)
-        edge_count_binds |= rule and not edges
-        in_degree &= rule and (edges or len(leaders) != need)
-    conds = [
-        ("leader-count", len(leaders) >= need),
-        ("leader-coverage", coverage),
-        ("direct-leader-followers", wl),
+        need = r + f if len(graphs) == 1 else r
+        in_degree &= all(
+            any(sum(e[1] == i for e in g.edges) >= need for g in graphs) for i in followers
+        )
+    return [
+        ("leader-count", not followers or len(leaders) >= r + f),
+        ("leader-coverage", not followers or coverage),
         ("follower-in-degree", in_degree),
     ]
-    return conds, edge_count_binds
+
+
+def random_query(rng):
+    """A query over 1-3 intervals of 1-3 random steps each, n 4-9 with at
+    least one leader (all leaders at times), r and l at most 3, f at most 2,
+    either relay reading."""
+    n = rng.randint(4, 9)
+    lengths = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+    p = rng.uniform(0.2, 0.9)
+    graphs = tuple(random_digraph(rng, n, p) for _ in range(sum(lengths)))
+    leaders = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    return RobustnessQuery(TopologySchedule(graphs, lengths), leaders, rng.randint(1, 3),
+                           rng.randint(1, 3), rng.randint(0, 2), rng.random() < 0.5)
 
 
 class TestNecessaryConditions:
@@ -494,48 +508,56 @@ class TestNecessaryConditions:
         assert conds["leader-count"] is False
 
     def test_leader_coverage_violation(self):
-        edges = [(1, 4), (2, 4), (1, 5), (3, 5), (4, 5), (5, 4)]
+        # each follower hears one leader
+        edges = [(1, 4), (2, 5), (4, 5), (5, 4)]
         g = DiGraph.from_edges(5, edges)
         conds = self.as_dict(RobustnessQuery(sched(g), frozenset({1, 2, 3}), 2, 1, 1))
         assert conds["leader-count"] is True
         assert conds["leader-coverage"] is False
 
-    def test_direct_leader_followers_violation(self):
-        edges = [(1, 4), (2, 4), (3, 4), (4, 5), (4, 6), (5, 6), (6, 5)]
-        g = DiGraph.from_edges(6, edges)
-        conds = self.as_dict(RobustnessQuery(sched(g), frozenset({1, 2, 3}), 2, 1, 1))
-        assert conds["direct-leader-followers"] is False
-
     def test_follower_in_degree_violation(self):
-        # follower 5 never has more than 2 in-neighbors at any step
+        # follower 5 has 2 in-neighbors in a one-step interval, short of r + f
         edges = [(1, 4), (2, 4), (3, 4), (1, 5), (4, 5)]
         g = DiGraph.from_edges(5, edges)
         conds = self.as_dict(RobustnessQuery(sched(g), frozenset({1, 2, 3}), 2, 1, 1))
         assert conds["follower-in-degree"] is False
+        two_steps = TopologySchedule((g, g), (2,))
+        conds = self.as_dict(RobustnessQuery(two_steps, frozenset({1, 2, 3}), 2, 1, 1))
+        assert conds["follower-in-degree"] is True
 
     def test_all_pass_on_corpus_operating_point(self, net15):
         schedule, leaders = net15
         conds = self.as_dict(RobustnessQuery(schedule, leaders, 3, 3, 2))
         assert all(conds.values())
 
+    def test_all_pass_without_followers(self):
+        g = DiGraph.from_edges(2, [(1, 2)])
+        assert all(self.as_dict(RobustnessQuery(sched(g), frozenset({1, 2}), 3, 1, 2)).values())
+
     def test_matches_definitions_on_random_schedules(self):
         rng = random.Random(23)
-        failures = dict.fromkeys(["leader-count", "leader-coverage",
-                                  "direct-leader-followers", "follower-in-degree"], 0)
+        failures = dict.fromkeys(["leader-count", "leader-coverage", "follower-in-degree"], 0)
         for _ in range(2000):
-            n = rng.randint(2, 10)
-            lengths = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
-            p = rng.uniform(0.1, 0.8)
-            graphs = tuple(random_digraph(rng, n, p) for _ in range(sum(lengths)))
-            leaders = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
-            q = RobustnessQuery(TopologySchedule(graphs, lengths), leaders,
-                                1, rng.randint(1, 3), rng.randint(0, 2))
-            want, edge_count_binds = oracle_necessary_conditions(q)
+            q = random_query(rng)
+            want = oracle_necessary_conditions(q)
             assert necessary_conditions(q) == want
-            assert not edge_count_binds
             for name, ok in want:
                 failures[name] += not ok
         assert all(failures.values()), failures
+
+    def test_hold_wherever_the_property_holds(self):
+        """Each condition names an F and S that violate when it fails, so a
+        holding verdict passes them all; each still fails on some query."""
+        rng = random.Random(2024)
+        holding, failures = 0, {}
+        for _ in range(2000):
+            q = random_query(rng)
+            holds = is_jointly_robust_following(q).holds
+            holding += holds
+            for name, ok in necessary_conditions(q):
+                assert ok or not holds, (name, q)
+                failures[name] = failures.get(name, 0) + (not ok)
+        assert holding >= 500 and len(failures) == 3 and all(failures.values()), failures
 
 
 def layered_circulant(rng, m, n_leaders, r, f, d):

@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 import yaml
 from click.testing import CliRunner
-from conftest import load_workloads
+from conftest import load_workloads, random_digraph
 from hypothesis import given, strategies as st
 
 from rclab import scenario as scenario_mod
 from rclab.cli import main
+from rclab.graphs import DiGraph, TopologySchedule, direct_leader_followers, union_graph
 from rclab.scenario import (
+    ReferenceFunction,
     Scenario,
     ScenarioError,
     corpus_names,
@@ -248,6 +250,41 @@ class TestValidation:
         assert any("scalar" in e for e in sc.validation_errors())
 
 
+class TestSecureReduced:
+    @staticmethod
+    def secure(schedule, leaders):
+        return Scenario(name="secure", schedule=schedule, leaders=frozenset(leaders),
+                        algorithm="mw-msr-secure", f=0, l=1,
+                        reference=ReferenceFunction.constant(1.0))
+
+    def test_relabel_preserves_structure(self):
+        # leader 3 sits mid-range, so followers 4 and 5 move down to 3 and 4
+        a = DiGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+        b = DiGraph.from_edges(5, [(3, 1), (5, 1), (2, 4)])
+        reduced, virtual = self.secure(TopologySchedule((a, b), (1, 1)), {3}).secure_reduced()
+        assert reduced.n == 4 and reduced.interval_lengths == (1, 1)
+        assert reduced.graphs[0].edges == {(1, 2), (3, 4)}
+        assert reduced.graphs[1].edges == {(4, 1), (2, 3)}
+        assert virtual == frozenset({1, 3})
+
+    def test_schedule_shares_one_map(self):
+        """Every reduced graph is its graph's induced follower subgraph under
+        one map, and the virtual leaders are the union graph's W_L, mapped."""
+        rng = random.Random(24)
+        for _ in range(300):
+            n = rng.randint(3, 8)
+            graphs = tuple(random_digraph(rng, n, 0.4) for _ in range(rng.randint(2, 4)))
+            leaders = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+            s = TopologySchedule(graphs, (len(graphs),))
+            sc = self.secure(s, leaders)
+            assert sc.secure_virtual_leaders() == direct_leader_followers(union_graph(s), leaders)
+            reduced, virtual = sc.secure_reduced()
+            old = dict(enumerate(sorted(sc.followers), start=1))
+            for g, h in zip(graphs, reduced.graphs, strict=True):
+                assert {(old[j], old[i]) for j, i in h.edges} == g.induced(sc.followers).edges
+            assert {old[i] for i in virtual} == sc.secure_virtual_leaders()
+
+
 class TestFingerprint:
     def test_stable_across_loads(self, workspace):
         (workspace / "scn.yaml").write_text(mini_scenario_yaml())
@@ -315,7 +352,19 @@ class TestCli:
                           "--r", "2", "--l", "2", "--f", "1")
         assert res.exit_code == 0
         assert "VERDICT: jointly 2-robust" in res.output
-        assert res.output.count("necessary-condition") == 4
+        assert res.output.count("necessary-condition") == 3
+
+    def test_check_robustness_conditions_pass_where_it_holds(self, tmp_path):
+        # two leaders are r + f for r = f = 1
+        topo = tmp_path / "complete5.yaml"
+        topo.write_text(yaml.safe_dump({
+            "n": 5, "leaders": [1, 2], "schedule": ["g"], "intervals": [1],
+            "graphs": {"g": {"edges": [[a, b] for a in range(1, 6) for b in range(1, 6) if a != b]}},
+        }))
+        res = self.invoke("check-robustness", "--topology", str(topo),
+                          "--r", "1", "--l", "1", "--f", "1")
+        assert res.exit_code == 0
+        assert "VERDICT: jointly 1-robust" in res.output and "FAIL" not in res.output
 
     def test_check_robustness_violation(self):
         res = self.invoke("check-robustness", "--topology", "net9",
