@@ -17,6 +17,7 @@ from .agents import (
     mw_msr_trim,
     mw_msr_update,
     second_order_step,
+    trim_route,
 )
 from .graphs import DiGraph, all_paths_into
 from .messaging import relay_plan, relay_round
@@ -189,8 +190,11 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
     anchor_followers = anchors & normal_followers
     trimming = normal_followers - anchors
     # The loop reads only what the trimming followers receive; the message
-    # log records what every node receives. One plan per schedule graph.
+    # log records what every node receives. One plan per schedule graph, and
+    # one trim route per (graph, trimming follower).
     plans = {}
+    # Second order: anchors and adversaries are at rest after every round.
+    at_rest = dict.fromkeys(anchors | adversaries, 0.0)
 
     x, v = _initial_axis_state(scenario, axis)
     trace = Trace(scenario)
@@ -225,12 +229,14 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
 
         # Exchange over the round's graph.
         g = exchange.graph_at(k)
-        plan = plans.get(g)
-        if plan is None:
+        cached = plans.get(g)
+        if cached is None:
             paths = _paths_for(g, scenario.l)
             if message_log is None:
                 paths = {i: paths[i] for i in trimming}
-            plan = plans[g] = relay_plan(paths, scripts)
+            plan = relay_plan(paths, scripts)
+            cached = plans[g] = plan, {i: trim_route(*plan.routes[i]) for i in trimming}
+        plan, routes = cached
         delivered = relay_round(g, x, scenario.l, k, scripts, plan)
         if message_log is not None:
             message_log.record(k, delivered, x, adversaries)
@@ -240,7 +246,7 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
         next_x = dict(x)
         next_v = dict(v) if second else v  # first order neither reads nor records v
         for i in trimming:
-            means[i] = mw_msr_update(mw_msr_trim(delivered[i], x[i], scenario.f), x[i])
+            means[i] = mw_msr_update(mw_msr_trim(delivered[i], x[i], scenario.f, routes[i]), x[i])
             if second:
                 u = mdp_msr_control(means[i], x[i], v[i], scenario.params)
                 next_x[i], next_v[i] = second_order_step(x[i], v[i], u, scenario.params.T)
@@ -253,7 +259,7 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
         for a in adversaries:
             next_x[a] = scripts[a].default.value(k + 1)
         if second:
-            next_v.update(dict.fromkeys(anchors | adversaries, 0.0))
+            next_v.update(at_rest)
 
         x, v = next_x, next_v
 

@@ -6,9 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from rclab import agents
 from rclab.graphs import DiGraph
-from rclab.messaging import MessageError
+from rclab.messaging import MessageError, _hit_prefix
 from rclab.scenario import corpus_path, load_scenario, load_topology
 
 settings.register_profile(
@@ -38,6 +37,24 @@ def random_digraph(rng: random.Random, n: int, p: float = 0.4) -> DiGraph:
     return DiGraph.from_edges(n, edges)
 
 
+def reference_trim(ms, own, f):
+    """The trim per path, the reference for ``mw_msr_trim``: each side of
+    own, sorted most extreme value first (stable), loses its longest prefix
+    that at most f nodes hit; a side of at most f messages goes whole. The
+    retained messages are the given objects in the given order, and ``ms``
+    itself if none is removed."""
+    removed = set()
+    for upper in (True, False):
+        side = [m for m in ms if (m.value > own if upper else m.value < own)]
+        if len(side) > f:
+            side.sort(key=lambda m: m.value, reverse=upper)
+            side = side[:_hit_prefix([m.path.mask for m in side], f)[0]]
+        removed.update(map(id, side))
+    if not removed:
+        return ms
+    return tuple(m for m in ms if id(m) not in removed)
+
+
 def mmc_brute_force_oracle(ms) -> int:
     """Exhaustive minimum-cover cardinality; refuses > 20 candidate nodes."""
     if not ms:
@@ -52,14 +69,6 @@ def mmc_brute_force_oracle(ms) -> int:
             if all(c & chosen for c in cand_sets):
                 return size
     raise AssertionError("unreachable: the full universe is always a cover")
-
-
-@pytest.fixture(autouse=True)
-def fresh_trim_memo(monkeypatch):
-    """Each test starts with no memoized trim cut, so no cut stored by an
-    earlier test answers a search this one means to run (the tracer test
-    counts the invariant checks that the misses make)."""
-    monkeypatch.setattr(agents, "_CUTS", {})
 
 
 @pytest.fixture(scope="session")

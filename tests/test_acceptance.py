@@ -6,6 +6,7 @@ import random
 import time
 from pathlib import Path as FsPath
 
+from rclab import agents
 from rclab.adversary import necessity_attack
 from rclab.engine import (
     contraction_oracle,
@@ -344,3 +345,16 @@ def test_criterion_11_corpus_traces_bit_identical_to_pinned():
         ok = ok and result.scenario.fingerprint() == want.get("fingerprint")
         ok = ok and [trace_digest(t) for t in result.traces] == want.get("digests")
     check(11, f"{len(SCENARIOS)} corpus traces bit-identical to the pinned x/v digests", ok)
+
+
+def test_trim_memo_is_per_run():
+    # fig5_staircase and fig4b_3hop share net15 and f, so a trim memo kept
+    # across runs would answer the second from the first's cuts. Each must
+    # still match its pinned digest, and the memo must live with the run.
+    pinned = json.loads(PINNED.read_text())["sim-deep"]["0"]
+    for name in ("fig5_staircase", "fig4b_3hop"):
+        result = run(load_scenario(corpus_path(name)))
+        assert [trace_digest(t) for t in result.traces] == pinned[name]["digests"], name
+    module_state = [name for name, value in vars(agents).items()
+                    if not name.startswith("__") and isinstance(value, (dict, list, set))]
+    assert module_state == []

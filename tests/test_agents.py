@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rclab import agents
+from rclab.adversary import AttackScript, Waveform
 from rclab.agents import (
-    _trim_side,
     AgentError,
     mdp_msr_control,
     mw_msr_trim,
     mw_msr_update,
     second_order_step,
+    trim_route,
 )
-from rclab.graphs import Path
-from rclab.messaging import Message, mmc_cardinality
+from rclab.graphs import Path, all_paths_into
+from rclab.messaging import Message, mmc_cardinality, relay_plan
 from rclab.scenario import ControlParams, ReferenceFunction, ScenarioError
-from conftest import mmc_brute_force_oracle
+from conftest import mmc_brute_force_oracle, random_digraph, reference_trim
 
 
 def one_hop_set(pairs, dest=99):
@@ -34,10 +35,32 @@ def linear_scan(side, f):
 
 
 def expected_trim(side, f, upper):
-    """What ``_trim_side`` removes, by the oracle: most extreme first,
-    stable; a side of at most f goes whole."""
+    """What the trim removes from one side, by the oracle: most extreme
+    first, stable; a side of at most f goes whole."""
     ordered = sorted(side, key=lambda m: -m.value if upper else m.value)
     return side if len(side) <= f else linear_scan(ordered, f)
+
+
+def route_of(ms):
+    """The trim route of ``ms`` with one plan slot per message."""
+    return trim_route(range(len(ms)), [m.path for m in ms])
+
+
+def trim(ms, own, f):
+    return mw_msr_trim(ms, own, f, route_of(ms))
+
+
+def assert_same_objects(got, want, ms):
+    """``got`` holds the objects of ``want`` in its order, and is ``ms``
+    exactly when ``want`` is."""
+    assert (got is ms) == (want is ms)
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))
+
+
+# Values drawn from few levels, so that slots tie and keys repeat; -0.0 ties
+# 0.0.
+LEVELS = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0)
 
 
 def random_side(rng):
@@ -88,14 +111,14 @@ class TestReferenceFunction:
 class TestTrim:
     def test_f_zero_keeps_everything(self):
         s = one_hop_set([(1, 1.0), (2, 3.0)])
-        retained = mw_msr_trim(s, 2.0, 0)
+        retained = trim(s, 2.0, 0)
         assert retained == s
         assert all(a is b for a, b in zip(retained, s))
 
     def test_negative_f_rejected(self):
         s = one_hop_set([(1, 1.0)])
         with pytest.raises(AgentError):
-            mw_msr_trim(s, 2.0, -1)
+            trim(s, 2.0, -1)
 
     def test_retained_keep_given_order(self):
         s = (
@@ -106,24 +129,24 @@ class TestTrim:
             Message(-3.0, Path((5, 9))),
         )
         # node 3 explains 5.0 and 4.0 above own; one node explains -3.0 below
-        assert mw_msr_trim(s, 0.5, 1) == (s[1], s[3])
+        assert trim(s, 0.5, 1) == (s[1], s[3])
 
     def test_nothing_trimmed_returns_given_tuple(self):
         s = one_hop_set([(1, 1.0), (2, 3.0)])
-        assert mw_msr_trim(s, 2.0, 0) is s
+        assert trim(s, 2.0, 0) is s
         level = one_hop_set([(1, 2.0), (2, 2.0)])
-        assert mw_msr_trim(level, 2.0, 2) is level
-        assert mw_msr_trim(s, 2.0, 1) == ()
+        assert trim(level, 2.0, 2) is level
+        assert trim(s, 2.0, 1) == ()
 
     def test_own_value_always_averaged(self):
         s = one_hop_set([(i, float(i)) for i in range(1, 6)])
-        retained = mw_msr_trim(s, 9.0, 2)
+        retained = trim(s, 9.0, 2)
         assert [m.value for m in retained] == [3.0, 4.0, 5.0]
         assert mw_msr_update(retained, 9.0) == (3.0 + 4.0 + 5.0 + 9.0) / 4
 
     def test_equal_values_never_removed(self):
         s = one_hop_set([(1, 2.0), (2, 2.0), (3, 5.0)])
-        retained = mw_msr_trim(s, 2.0, 1)
+        retained = trim(s, 2.0, 1)
         assert sorted(m.value for m in retained) == [2.0, 2.0]
 
     @given(st.randoms())
@@ -133,7 +156,7 @@ class TestTrim:
         values = rng.sample([x / 7 for x in range(-20, 21)], n)
         own = rng.choice([x / 7 for x in range(-20, 21)])
         s = one_hop_set(list(enumerate(values, start=1)))
-        retained = mw_msr_trim(s, own, f)
+        retained = trim(s, own, f)
         assert sorted(m.value for m in retained) == classical_wmsr_retained(own, values, f)
 
     def test_disjoint_extremes_removed_one_at_a_time(self):
@@ -143,7 +166,7 @@ class TestTrim:
             Message(5.0, Path((1, 9))),
             Message(4.0, Path((2, 3, 9))),
         )
-        retained = mw_msr_trim(msgs, 0.0, 1)
+        retained = trim(msgs, 0.0, 1)
         assert retained == (msgs[1],)
 
     def test_shared_cover_removes_group(self):
@@ -152,7 +175,7 @@ class TestTrim:
             Message(5.0, Path((1, 3, 9))),
             Message(4.0, Path((2, 3, 9))),
         )
-        assert mw_msr_trim(msgs, 0.0, 1) == ()
+        assert trim(msgs, 0.0, 1) == ()
 
     def test_removed_sides_have_cover_at_most_f(self):
         rng = random.Random(11)
@@ -164,7 +187,7 @@ class TestTrim:
                 relay = rng.choice([None, 7, 8])
                 path = (s, relay, 9) if relay else (s, 9)
                 msgs.append(Message(rng.uniform(-3, 3), Path(path)))
-            retained = mw_msr_trim(tuple(msgs), own, f)
+            retained = trim(tuple(msgs), own, f)
             removed = [m for m in msgs if m not in retained]
             upper = [m for m in removed if m.value > own]
             lower = [m for m in removed if m.value < own]
@@ -172,60 +195,130 @@ class TestTrim:
                 if side:
                     assert mmc_cardinality(side, f) <= f
 
-    def test_trim_side_matches_linear_scan(self, monkeypatch):
+    def test_short_side_counts_paths_not_slots(self):
+        # One slot on two node-disjoint paths: one node cannot explain both,
+        # so f = 1 removes only the first in path order.
+        s = (Message(5.0, Path((1, 9))), Message(5.0, Path((2, 9))), Message(0.0, Path((3, 9))))
+        route = trim_route((0, 0, 1), [m.path for m in s])
+        assert mw_msr_trim(s, 0.0, 1, route) == s[1:]
+        assert mw_msr_trim(s, 0.0, 1, route) == reference_trim(s, 0.0, 1)
+
+    def test_route_must_match_the_messages(self):
+        s = one_hop_set([(1, 1.0), (2, 3.0)])
+        with pytest.raises(AgentError):
+            mw_msr_trim(s[:1], 2.0, 1, route_of(s))
+
+    def test_matches_path_level_trim_on_random_plans(self):
+        # Slots from relay plans with "same" and "identity" relays; every
+        # leader holds the reference, so slots tie. Each route is reused
+        # over rounds, so its memo answers most of them.
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randint(4, 7)
+            g = random_digraph(rng, n, rng.uniform(0.3, 0.6))
+            l, f = rng.randint(1, 3), rng.randint(0, 3)
+            nodes = range(1, n + 1)
+            scripts = {a: AttackScript(a, Waveform.constant(0.0),
+                                       relay_mode=rng.choice(("same", "identity")))
+                       for a in rng.sample(nodes, rng.randint(0, 2))}
+            leaders = set(rng.sample(nodes, 2))
+            plan = relay_plan({i: all_paths_into(g, i, l) for i in nodes}, scripts)
+            routes = {i: trim_route(*plan.routes[i]) for i in nodes}
+            for _ in range(12):
+                ref = rng.choice(LEVELS)
+                table = [ref if o in leaders else rng.choice(LEVELS)
+                         for o in plan.sources + plan.emissions]
+                for i, (slots, paths) in plan.routes.items():
+                    ms = tuple(Message(table[s], p) for s, p in zip(slots, paths))
+                    own = rng.choice(LEVELS)
+                    assert_same_objects(mw_msr_trim(ms, own, f, routes[i]),
+                                        reference_trim(ms, own, f), ms)
+
+    def test_matches_path_level_trim_on_arbitrary_slots(self):
+        # Any grouping of paths whose members carry one value, even where no
+        # one node hits a slot's paths.
+        rng = random.Random(29)
+        for _ in range(150):
+            g = random_digraph(rng, rng.randint(4, 7), 0.5)
+            paths = all_paths_into(g, 1, rng.randint(1, 3))
+            f = rng.randint(0, 3)
+            slots = [rng.randrange(max(1, len(paths) // 2)) for _ in paths]
+            route = trim_route(slots, paths)
+            for _ in range(12):
+                table = [rng.choice(LEVELS) for _ in paths]
+                ms = tuple(Message(table[s], p) for s, p in zip(slots, paths))
+                own = rng.choice(LEVELS)
+                assert_same_objects(mw_msr_trim(ms, own, f, route),
+                                    reference_trim(ms, own, f), ms)
+
+    def test_route_trim_matches_linear_scan(self, monkeypatch):
         rng = random.Random(5)
-        cases = [(rng.randint(1, 3), random_side(rng)) for _ in range(300)]
-        for f, side in cases:
-            for upper in (True, False):
-                assert _trim_side(list(side), f, upper) == expected_trim(side, f, upper)
-        # The same sides again: every cut now comes from the memo.
-        def no_search(masks, k):
+        cases = [(rng.randint(1, 3), tuple(random_side(rng))) for _ in range(300)]
+        cases = [(f, side, route_of(side)) for f, side in cases]
+
+        def expected(side, f, upper):
+            removed = set(map(id, expected_trim(side, f, upper)))
+            return tuple(m for m in side if id(m) not in removed)
+
+        for f, side, route in cases:
+            for own, upper in ((-10.0, True), (10.0, False)):
+                assert mw_msr_trim(side, own, f, route) == expected(side, f, upper)
+
+        # The same sides again: every cut now comes from the route's memo.
+        def no_search(*args):
             raise AssertionError("memo miss on a side already seen")
 
         monkeypatch.setattr(agents, "_hit_prefix", no_search)
-        for f, side in cases:
-            for upper in (True, False):
-                assert _trim_side(list(side), f, upper) == expected_trim(side, f, upper)
+        monkeypatch.setattr(agents, "mmc_cardinality", no_search)
+        for f, side, route in cases:
+            for own, upper in ((-10.0, True), (10.0, False)):
+                assert mw_msr_trim(side, own, f, route) == expected(side, f, upper)
 
     def test_trim_invariant_can_fail(self, monkeypatch):
-        side = [Message(3.0, Path((1, 9))), Message(2.0, Path((2, 9))), Message(1.0, Path((3, 9)))]
-        assert _trim_side(list(side), 2, True) == side[:2]
+        side = one_hop_set([(1, 3.0), (2, 2.0), (3, 1.0)])
+        assert trim(side, 0.0, 2) == side[2:]
         real = agents._hit_prefix
         monkeypatch.setattr(agents, "_hit_prefix", lambda masks, k: (real(masks, k)[0] - 1, 0))
-        # A fresh memo, so the side is searched again rather than looked up.
-        monkeypatch.setattr(agents, "_CUTS", {})
+        # A fresh route, so the side is searched again rather than looked up.
         with pytest.raises(AgentError):
-            _trim_side(list(side), 2, True)
+            trim(side, 0.0, 2)
 
     def test_failed_invariant_stores_no_cut(self, monkeypatch):
         real = agents._hit_prefix
         monkeypatch.setattr(agents, "_hit_prefix", lambda masks, k: (real(masks, k)[0] - 1, 0))
-        side = [Message(3.0, Path((1, 9))), Message(2.0, Path((2, 9))), Message(1.0, Path((3, 9)))]
+        side = one_hop_set([(1, 3.0), (2, 2.0), (3, 1.0)])
+        route = route_of(side)
         for _ in range(2):
             with pytest.raises(AgentError):
-                _trim_side(list(side), 2, True)
-        assert agents._CUTS == {}
+                mw_msr_trim(side, 0.0, 2, route)
+        assert route.kept == {}
 
-    def test_same_masks_cut_by_f(self, monkeypatch):
+    def test_same_slots_cut_by_f(self):
         # Three disjoint one-hop paths: f nodes explain the f most extreme.
-        side = [Message(3.0, Path((1, 9))), Message(2.0, Path((2, 9))), Message(1.0, Path((3, 9)))]
+        side = one_hop_set([(1, 3.0), (2, 2.0), (3, 1.0)])
         for order in ((1, 2), (2, 1)):
-            monkeypatch.setattr(agents, "_CUTS", {})
+            route = route_of(side)
             for f in order:
-                assert _trim_side(list(side), f, True) == side[:f]
-            assert len(agents._CUTS) == 2
+                assert mw_msr_trim(side, 0.0, f, route) == side[f:]
+            assert len(route.kept) == 2
 
     def test_memo_stays_bounded_and_exact(self, monkeypatch):
-        monkeypatch.setattr(agents, "_CUTS_MAX", 8)
+        monkeypatch.setattr(agents, "_MEMO_MAX", 8)
         rng = random.Random(17)
-        cases = [(random_side(rng), rng.randint(1, 3)) for _ in range(60)]
-        keys = {(tuple(m.path.mask for m in sorted(side, key=lambda m: -m.value)), f)
-                for side, f in cases if len(side) > f}
+        paths = [m.path for m in random_side(rng) + random_side(rng)]
+        route = trim_route(range(len(paths)), paths)
+        cases = []
+        for _ in range(80):
+            ms = tuple(Message(rng.choice(LEVELS), p) for p in paths)
+            cases.append((ms, rng.choice(LEVELS), rng.randint(1, 3)))
+        keys = set()
+        for ms, own, f in cases:
+            mw_msr_trim(ms, own, f, route)
+            keys.update(route.kept)
         assert len(keys) > 3 * 8
-        for _ in range(2):
-            for side, f in cases:
-                assert _trim_side(list(side), f, True) == expected_trim(side, f, True)
-                assert len(agents._CUTS) <= 8
+        for ms, own, f in cases:
+            assert_same_objects(mw_msr_trim(ms, own, f, route), reference_trim(ms, own, f), ms)
+            assert len(route.kept) <= 8
 
 
 class TestUpdate:
@@ -317,5 +410,5 @@ class TestSecondOrder:
 class TestSecureStep:
     def test_interior_follower_trims_and_averages(self):
         s = one_hop_set([(1, 1.0), (2, 3.0), (3, 50.0)])
-        out = mw_msr_update(mw_msr_trim(s, 2.0, 1), 2.0)
+        out = mw_msr_update(trim(s, 2.0, 1), 2.0)
         assert out == 2.5  # one extreme trimmed per side: mean of {2, 3}
