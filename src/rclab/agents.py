@@ -75,10 +75,7 @@ def _kept(ms: tuple[Message, ...], f: int, masks, sides) -> tuple[int, ...]:
     explain, and goes whole if <= f nodes explain all of it."""
     removed: set[int] = set()
     for side in sides:
-        if len(side) <= f:
-            # One node of each path hits them all, in any order.
-            removed.update(side)
-            continue
+        # No mask is 0, so a side of at most f paths is hit whole.
         p = _hit_prefix([masks[j] for j in side], f)[0]
         # One extra message raises the cover optimum by at most one, so a
         # maximal prefix short of the whole side needs exactly f nodes. The

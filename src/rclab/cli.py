@@ -87,7 +87,8 @@ def cli_simulate(scenario_ref, out_dir, max_rounds, summary):
 
     if not summary:
         click.echo(f"scenario: {scenario.name}  fingerprint: {scenario.fingerprint()}")
-        click.echo(f"rounds simulated: {max(t.rounds for t in result.traces)}")
+        # A trace records the initial state and the state after each round.
+        click.echo(f"rounds simulated: {max(t.rounds for t in result.traces) - 1}")
     for axis, report in enumerate(result.reports):
         label = f"axis {axis}: " if scenario.axes > 1 else ""
         click.echo(f"{label}converged: {report.converged}")

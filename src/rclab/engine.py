@@ -191,8 +191,14 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
     trimming = normal_followers - anchors
     # The loop reads only what the trimming followers receive; the message
     # log records what every node receives. One plan per schedule graph, and
-    # one trim route per (graph, trimming follower).
+    # one trim route per (graph, trimming follower), all built before round 0.
     plans = {}
+    for g in dict.fromkeys(exchange.graphs):
+        paths = _paths_for(g, scenario.l)
+        if message_log is None:
+            paths = {i: paths[i] for i in trimming}
+        plan = relay_plan(paths, scripts)
+        plans[g] = plan, {i: trim_route(*plan.routes[i]) for i in trimming}
     # Second order: anchors and adversaries are at rest after every round.
     at_rest = dict.fromkeys(anchors | adversaries, 0.0)
 
@@ -229,14 +235,7 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
 
         # Exchange over the round's graph.
         g = exchange.graph_at(k)
-        cached = plans.get(g)
-        if cached is None:
-            paths = _paths_for(g, scenario.l)
-            if message_log is None:
-                paths = {i: paths[i] for i in trimming}
-            plan = relay_plan(paths, scripts)
-            cached = plans[g] = plan, {i: trim_route(*plan.routes[i]) for i in trimming}
-        plan, routes = cached
+        plan, routes = plans[g]
         delivered = relay_round(g, x, scenario.l, k, scripts, plan)
         if message_log is not None:
             message_log.record(k, delivered, x, adversaries)

@@ -229,14 +229,13 @@ def f_local_sets(schedule: TopologySchedule, l: int, f: int):
 
 
 def _interval_violation(
-    schedule: TopologySchedule,
+    steps: list[tuple[DiGraph, dict[int, int], dict[int, set[tuple[int, int]]]]],
     interval: range,
     F: frozenset[int],
     followers: list[int],
     r: int,
     l: int,
     relays_inside_s: bool,
-    steps: dict[int, tuple[DiGraph, dict[int, int], dict[int, set[tuple[int, int]]]]],
 ) -> frozenset[int] | None:
     """Largest follower subset S with no jointly r-reachable node in the
     interval; None if every nonempty S has one.
@@ -250,18 +249,12 @@ def _interval_violation(
     it: it is a violating S and contains every other, whatever the removal
     order.
 
-    ``steps`` caches, per scheduled step and for every F of one query, the
+    ``steps`` holds, per scheduled step and for every F of one query, the
     graph, each node's in-neighbor mask and the ``_walk_path_masks`` pairs of
     each node asked so far, all on the full graph; F is masked out here.
     """
     Fmask = nodes_bit(F)
-    cached = []
-    for k in interval:
-        key = k % schedule.period
-        if key not in steps:
-            g = schedule.graphs[key]
-            steps[key] = (g, {i: nodes_bit(g.in_neighbors(i)) for i in g.nodes}, {})
-        cached.append(steps[key])
+    cached = [steps[k] for k in interval]
 
     def node_ok(i: int, S: int) -> bool:
         # r distinct direct in-neighbors outside S and F are r independent paths
@@ -314,20 +307,18 @@ def is_jointly_robust_following(q: RobustnessQuery) -> RobustnessVerdict:
     """
     schedule = q.schedule
     intervals = schedule.intervals()
-    steps: dict = {}
+    steps = [(g, {i: nodes_bit(g.in_neighbors(i)) for i in g.nodes}, {}) for g in schedule.graphs]
     for F in f_local_sets(schedule, q.l, q.f):
         followers = sorted(set(range(1, schedule.n + 1)) - q.leaders - F)
         if not followers:
             continue
         for t, interval in enumerate(intervals):
-            S = _interval_violation(
-                schedule, interval, F, followers, q.r, q.l, q.relays_inside_s, steps
-            )
+            S = _interval_violation(steps, interval, F, followers, q.r, q.l, q.relays_inside_s)
             if S is not None:
                 return RobustnessVerdict(False, Certificate(F, S, t))
         if not F and q.f and all(
-            _interval_violation(schedule, iv, F, followers, q.r + q.f, q.l,
-                                q.relays_inside_s, steps) is None
+            _interval_violation(steps, iv, F, followers, q.r + q.f, q.l,
+                                q.relays_inside_s) is None
             for iv in intervals
         ):
             return RobustnessVerdict(True)

@@ -31,7 +31,7 @@ from rclab.scenario import (
     load_scenario,
     load_topology,
 )
-from conftest import mmc_brute_force_oracle
+from oracles import mmc_brute_force_oracle
 
 SCENARIOS = (
     "fig4a_1hop",

@@ -17,7 +17,8 @@ from rclab.agents import (
 from rclab.graphs import Path, all_paths_into
 from rclab.messaging import Message, mmc_cardinality, relay_plan
 from rclab.scenario import ControlParams, ReferenceFunction, ScenarioError
-from conftest import mmc_brute_force_oracle, random_digraph, reference_trim
+from conftest import random_digraph
+from oracles import mmc_brute_force_oracle, reference_trim
 
 
 def one_hop_set(pairs, dest=99):

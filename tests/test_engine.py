@@ -1,10 +1,12 @@
 import csv
 import dataclasses
 import io
+import random
+from collections import Counter
 
 import pytest
 
-from rclab.adversary import AttackScript, Waveform, necessity_attack
+from rclab.adversary import AttackScript, Waveform, necessity_attack, validate_f_local
 from rclab.engine import (
     EngineError,
     _MessageLog,
@@ -18,9 +20,10 @@ from rclab.engine import (
 from rclab.graphs import DiGraph, Path, TopologySchedule
 from rclab.messaging import Message
 from rclab.robustness import RobustnessQuery, is_jointly_robust_following
-from rclab.scenario import ControlParams, ReferenceFunction, Scenario
+from rclab.scenario import ALGORITHMS, ControlParams, ReferenceFunction, Scenario
 
-from conftest import scenario as corpus_scenario
+from conftest import random_digraph, scenario as corpus_scenario
+from oracles import reference_run
 
 
 def complete_graph(n):
@@ -458,3 +461,91 @@ class TestDeliveryScope:
             assert quiet.rounds > 1
             for series in ("x", "v", "V", "V_hat", "residual", "retained_mean"):
                 assert repr(getattr(quiet, series)) == repr(getattr(logged, series)), series
+
+
+# Values the random scenarios draw from: a small set, so that values of
+# different origins tie.
+LEVELS = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
+
+
+def random_script(rng, node, n):
+    """A Byzantine script: up to two receiver groups, either relay mode."""
+    def wave():
+        kind = rng.choice(["square", "sinusoid", "constant"])
+        return Waveform(rng.choice(LEVELS), rng.choice([0.0, 0.5, 1.5]), rng.randint(1, 3), kind)
+
+    receivers = [i for i in range(1, n + 1) if i != node]
+    rng.shuffle(receivers)
+    cuts = sorted(rng.sample(range(len(receivers) + 1), 2))
+    groups = tuple((frozenset(receivers[a:b]), wave())
+                   for a, b in ((0, cuts[0]), (cuts[0], cuts[1])) if a < b and rng.random() < 0.6)
+    return AttackScript(node, wave(), groups, relay_mode=rng.choice(["same", "identity"]))
+
+
+def random_scenario(rng):
+    """A valid scenario of 30-40 rounds: n 5-9, a schedule of 1-3 graphs in
+    one or two intervals, l 1-3, f 0-2, any algorithm, and an f-local
+    adversary set. Initial values, reference and emissions share ``LEVELS``."""
+    n, period = rng.randint(5, 9), rng.randint(1, 3)
+    graphs = tuple(random_digraph(rng, n, rng.uniform(0.3, 0.6)) for _ in range(period))
+    cut = rng.randint(1, period)
+    schedule = TopologySchedule(graphs, (cut, period - cut) if cut < period else (period,))
+    algorithm = rng.choice(ALGORITHMS)
+    l, f = rng.randint(1, 3), rng.randint(0, 2)
+    leaders = frozenset(rng.sample(range(1, n + 1), rng.randint(1, 3)))
+    pool = [i for i in range(1, n + 1) if algorithm != "mw-msr-secure" or i not in leaders]
+    adversaries = ()
+    for _ in range(10):
+        drawn = rng.sample(pool, rng.randint(1, f + 1))
+        if validate_f_local(drawn, schedule, l, f).f_local:
+            adversaries = drawn
+            break
+    second = algorithm == "mdp-msr"
+    init = {}
+    for i in range(1, n + 1):
+        # Normal followers always get an initial state; leaders and
+        # adversaries may go without one.
+        if i not in leaders and i not in adversaries or rng.random() < 0.6:
+            state = [rng.choice(LEVELS)] + ([rng.choice(LEVELS)] if second and rng.random() < 0.7 else [])
+            init[i] = (tuple(state),)
+    max_rounds = rng.randint(30, 40)
+    steps = sorted(rng.sample(range(1, max_rounds), rng.randint(0, 2)))
+    T = rng.uniform(0.3, 1.0)
+    return Scenario(
+        name="random",
+        schedule=schedule,
+        leaders=leaders,
+        algorithm=algorithm,
+        f=f,
+        l=l,
+        reference=ReferenceFunction(tuple((k, rng.choice(LEVELS)) for k in [0, *steps])),
+        params=ControlParams(T, 1.5 / T) if second else None,  # mid-window beta * T
+        init=init,
+        scripts={a: random_script(rng, a, n) for a in adversaries},
+        window=max_rounds + 1,  # never converged early: every round runs
+        max_rounds=max_rounds,
+    )
+
+
+class TestReferenceRun:
+    """The engine against ``oracles.reference_run``, which relays hop by hop
+    and trims by exhaustive search, with no plan, route or memo."""
+
+    def test_matches_engine_on_random_scenarios(self):
+        rng = random.Random(1789)
+        seen = Counter()
+        for _ in range(60):
+            sc = random_scenario(rng)
+            sc.validate()
+            logged = rng.random() < 0.5
+            trace = run_axis(sc, 0, _MessageLog(io.StringIO(newline="")) if logged else None)
+            x, v, means = reference_run(sc, 0, sc.max_rounds)
+            for name, got, want in (("x", trace.x, x), ("v", trace.v, v),
+                                    ("retained_mean", trace.retained_mean, means)):
+                assert [{i: repr(s) for i, s in d.items()} for d in got] == \
+                    [{i: repr(s) for i, s in d.items()} for d in want], name
+            seen.update([sc.algorithm, f"l={sc.l}", f"f={sc.f}", f"logged={logged}",
+                         f"intervals={len(sc.schedule.interval_lengths)}"])
+            seen.update(s.relay_mode for s in sc.scripts.values())
+            seen.update("groups" for s in sc.scripts.values() if s.groups)
+        assert len(seen) == 16 and min(seen.values()) >= 3, seen

@@ -16,7 +16,8 @@ from rclab.messaging import (
     relay_round,
 )
 from rclab.scenario import corpus_names
-from conftest import mmc_brute_force_oracle, random_digraph, scenario as corpus_scenario
+from conftest import random_digraph, scenario as corpus_scenario
+from oracles import mmc_brute_force_oracle, walk_relay_round
 
 SIMULATING = [name for name in corpus_names() if not name.startswith("net")]
 
@@ -38,23 +39,6 @@ def minimum_cover(side):
     p, mask = _hit_prefix([m.path.mask for m in side], card)
     assert p == len(side)
     return set(bit_nodes(mask)), card
-
-
-def walk_relay_round(g, senders, l, k, hooks):
-    """Reference relay: every path walks every relay, one hop at a time."""
-    out = {}
-    for i in g.nodes:
-        msgs = []
-        for p in all_paths_into(g, i, l):
-            hook = hooks.get(p.nodes[0])
-            value = hook.emit(k, p.nodes[1]) if hook is not None else senders[p.nodes[0]]
-            for pos in range(1, len(p.nodes) - 1):
-                relay_hook = hooks.get(p.nodes[pos])
-                if relay_hook is not None:
-                    value = relay_hook.relay(value, k, p.nodes[pos + 1])
-            msgs.append((p.nodes, value))
-        out[i] = msgs
-    return out
 
 
 def random_script(rng, node, n, honest):

@@ -343,10 +343,11 @@ class TestJointlyRobustFollowing:
                 l=rng.randint(1, 3), f=rng.randint(1, 2), relays_inside_s=relays_inside_s,
             )
             followers = sorted(set(range(1, n + 1)) - leaders)
+            steps = [(g, {i: nodes_bit(g.in_neighbors(i)) for i in g.nodes}, {})
+                     for g in q.schedule.graphs]
             empties = all(
                 _interval_violation(
-                    q.schedule, iv, frozenset(), followers, q.r + q.f, q.l,
-                    relays_inside_s, {},
+                    steps, iv, frozenset(), followers, q.r + q.f, q.l, relays_inside_s,
                 ) is None
                 for iv in q.schedule.intervals()
             )
@@ -634,9 +635,9 @@ class TestScale:
         targets = []
         real = robustness._interval_violation
 
-        def recording(schedule, interval, F, followers, r, *rest):
+        def recording(steps, interval, F, followers, r, *rest):
             targets.append(r)
-            return real(schedule, interval, F, followers, r, *rest)
+            return real(steps, interval, F, followers, r, *rest)
 
         q, _ = self.trap_query()
         monkeypatch.setattr(robustness, "_interval_violation", recording)

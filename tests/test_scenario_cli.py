@@ -405,6 +405,12 @@ class TestCli:
         assert res.exit_code == 3
         assert "converged: False" in res.output
 
+    def test_simulate_reports_rounds_run_not_states_recorded(self):
+        # A run of k rounds records k + 1 states: the initial one and one per round.
+        res = self.invoke("simulate", "--scenario", "fig4a_1hop", "--max-rounds", "5")
+        assert res.exit_code == 3
+        assert "rounds simulated: 5\n" in res.output
+
     def test_simulate_cut_before_last_step_exit_3(self):
         # fig5_staircase steps to 3.0 at round 400, which 260 rounds never reach.
         res = self.invoke("simulate", "--scenario", "fig5_staircase",
