@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 invalid input, 2 robustness violation,
-3 non-convergence.
+Exit codes: 0 success, 1 invalid input (click's usage errors included),
+2 robustness violation, 3 non-convergence.
 """
 
 from __future__ import annotations
@@ -20,7 +20,27 @@ from .robustness import (
 from .scenario import corpus_names, load_scenario, load_topology, resolve_file
 
 
-@click.group()
+class _Group(click.Group):
+    """A command group whose usage errors (a bad or missing option, an
+    unknown command) exit 1, invalid input: click's own code for them, 2,
+    means a robustness violation here. Subcommands parse inside ``invoke``."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as e:
+            e.exit_code = 1
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:
+            e.exit_code = 1
+            raise
+
+
+@click.group(cls=_Group)
 def main():
     """Resilient leader-follower consensus: simulator and graph verifier."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path as FsPath
+from typing import NamedTuple
 
 from .agents import (
     mdp_msr_control,
@@ -20,7 +21,7 @@ from .agents import (
     trim_route,
 )
 from .graphs import DiGraph, all_paths_into
-from .messaging import relay_plan, relay_round
+from .messaging import RelayPlan, relay_plan, relay_round, slot_values
 from .scenario import Scenario
 
 
@@ -108,38 +109,57 @@ def _paths_for(g: DiGraph, l: int):
     return {i: tuple(all_paths_into(g, i, l)) for i in g.nodes}
 
 
+class _LogRows(NamedTuple):
+    """A message log's rows over one exchange graph, built before round 0.
+
+    ``plan`` covers every node. ``heads`` holds each row's ``src,dst,path,``
+    head, by destination id and then delivery order, and ``rows`` each row's
+    index into ``keys``, the distinct (plan slot, source) pairs.
+    """
+
+    plan: RelayPlan
+    heads: tuple[str, ...]
+    rows: tuple[int, ...]
+    keys: tuple[tuple[int, int], ...]
+
+
+def _log_rows(paths, scripts) -> _LogRows:
+    plan = relay_plan(paths, scripts)
+    heads, rows, keys = [], [], {}
+    for i in sorted(paths):
+        for s, p in zip(*plan.routes[i]):
+            nodes = p.nodes
+            heads.append(f"{nodes[0]},{i},{'-'.join(map(str, nodes))},")
+            rows.append(keys.setdefault((s, nodes[0]), len(keys)))
+    return _LogRows(plan, tuple(heads), tuple(rows), tuple(keys))
+
+
 class _MessageLog:
-    """Optional streaming sink for per-round delivered messages.
+    """Optional streaming sink for the messages every node receives each
+    round.
 
     Rows are csv excel-dialect text (CRLF line ends); no field ever needs
-    quoting. Each path's ``src,dst,path,`` head is built once, each sender's
-    value repr once per round, and each round is one write.
+    quoting. They are written from a plan over every node (``_LogRows``),
+    not from what the loop delivers: each round formats one
+    ``value,tampered`` tail per (slot, source) key and writes the round in
+    one call. The plan's table evaluates the round's emissions a second
+    time, which ``AttackScript.emit``, pure by contract, allows.
     """
 
     def __init__(self, fh):
         self.fh = fh
-        self.heads: dict[tuple[int, ...], str] = {}
         fh.write("round,src,dst,path,value,tampered\r\n")
 
-    def record(self, k, delivered, senders, adversaries):
-        heads = self.heads
-        # The untouched honest value is the sender's own float object; an
-        # equal value may be another object, e.g. -0.0 for 0.0.
-        honest = {j: f"{v!r},0\r\n" for j, v in senders.items() if j not in adversaries}
-        rows = []
-        for i in sorted(delivered):
-            for value, p in delivered[i]:
-                nodes = p.nodes
-                head = heads.get(nodes)
-                if head is None:
-                    head = heads[nodes] = f"{nodes[0]},{i},{'-'.join(map(str, nodes))},"
-                src = nodes[0]
-                if value is senders[src] and src in honest:
-                    rows.append(f"{k},{head}{honest[src]}")
-                else:
-                    tampered = src in adversaries or value != senders[src]
-                    rows.append(f"{k},{head}{value!r},{int(tampered)}\r\n")
-        self.fh.write("".join(rows))
+    def record(self, k, log_rows, senders, scripts):
+        if not log_rows.heads:
+            return
+        table = slot_values(log_rows.plan, senders, k, scripts)
+        # Tampered: the source is an adversary, or the value is unequal to
+        # the source's (so -0.0 relayed for 0.0 is not).
+        tails = [f"{table[s]!r},{int(src in scripts or table[s] != senders[src])}"
+                 for s, src in log_rows.keys]
+        rows = map(str.__add__, log_rows.heads, map(tails.__getitem__, log_rows.rows))
+        self.fh.write(f"{k}," + f"\r\n{k},".join(rows) + "\r\n")
 
 
 def _initial_axis_state(scenario: Scenario, axis: int):
@@ -189,16 +209,16 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
         exchange = schedule.induced(scenario.followers)
     anchor_followers = anchors & normal_followers
     trimming = normal_followers - anchors
-    # The loop reads only what the trimming followers receive; the message
-    # log records what every node receives. One plan per schedule graph, and
-    # one trim route per (graph, trimming follower), all built before round 0.
+    # Only the trimming followers receive: one plan per exchange graph, and
+    # one trim route per (graph, trimming follower). The message log records
+    # what every node would receive from a plan of its own. All are built
+    # before round 0.
     plans = {}
     for g in dict.fromkeys(exchange.graphs):
         paths = _paths_for(g, scenario.l)
-        if message_log is None:
-            paths = {i: paths[i] for i in trimming}
-        plan = relay_plan(paths, scripts)
-        plans[g] = plan, {i: trim_route(*plan.routes[i]) for i in trimming}
+        plan = relay_plan({i: paths[i] for i in trimming}, scripts)
+        log_rows = _log_rows(paths, scripts) if message_log is not None else None
+        plans[g] = plan, {i: trim_route(*plan.routes[i]) for i in trimming}, log_rows
     # Second order: anchors and adversaries are at rest after every round.
     at_rest = dict.fromkeys(anchors | adversaries, 0.0)
 
@@ -235,10 +255,10 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
 
         # Exchange over the round's graph.
         g = exchange.graph_at(k)
-        plan, routes = plans[g]
+        plan, routes, log_rows = plans[g]
         delivered = relay_round(g, x, scenario.l, k, scripts, plan)
         if message_log is not None:
-            message_log.record(k, delivered, x, adversaries)
+            message_log.record(k, log_rows, x, scripts)
 
         # Anchored followers average nothing; they record their own value.
         means = {i: x[i] for i in anchor_followers}

@@ -74,6 +74,20 @@ def relay_plan(
     return RelayPlan(sources, emissions, routes)
 
 
+def slot_values(
+    plan: RelayPlan, senders: Mapping[int, float], k: int, hooks: Mapping[int, AttackScript]
+) -> list[float]:
+    """The value of each slot of ``plan`` at round k: each source's sender
+    value, then each (adversary, receiver) emission, evaluated once. Each
+    slot is some path's origin, so this one finiteness check per value
+    covers every path that carries it."""
+    table = [senders[j] for j in plan.sources]
+    table += [hooks[a].emit(k, r) for a, r in plan.emissions]
+    for bad in itertools.filterfalse(math.isfinite, table):
+        raise MessageError(f"non-finite message value {bad}")
+    return table
+
+
 def relay_round(
     g: DiGraph,
     senders: Mapping[int, float],
@@ -89,7 +103,10 @@ def relay_round(
     and each "same" relay's are per-(round, next receiver), so each distinct
     (adversary, receiver) emission is evaluated once per round. Paths are
     never altered, and an untouched value is the sender's own float object.
-    Every sender value and emission that some path carries must be finite.
+    Every sender value and emission that some path carries must be finite
+    (``slot_values``). Emissions must be pure in (round, receiver): a caller
+    may evaluate them again for another plan of the round, as the engine's
+    message log does.
 
     ``plan`` defaults to every node of g with all its paths of at most l
     hops; callers that relay over g again pass it to amortize it.
@@ -97,13 +114,7 @@ def relay_round(
     hooks = hooks or {}
     if plan is None:
         plan = relay_plan({i: all_paths_into(g, i, l) for i in g.nodes}, hooks)
-    table = [senders[j] for j in plan.sources]
-    table += [hooks[a].emit(k, r) for a, r in plan.emissions]
-    # Each slot is some path's origin, so one check per value covers every
-    # message built below.
-    for bad in itertools.filterfalse(math.isfinite, table):
-        raise MessageError(f"non-finite message value {bad}")
-    value = table.__getitem__
+    value = slot_values(plan, senders, k, hooks).__getitem__
     new = tuple.__new__
     # Through a list: a tuple grown from a bare map is resized as it fills,
     # and the cast-off sizes linger in the tuple free lists.

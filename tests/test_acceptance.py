@@ -347,6 +347,69 @@ def test_criterion_11_corpus_traces_bit_identical_to_pinned():
     check(11, f"{len(SCENARIOS)} corpus traces bit-identical to the pinned x/v digests", ok)
 
 
+# SHA-256 of every trace and message CSV that ``run(scenario, out_dir)``
+# writes for the corpus scenarios, as ``scripts/run_corpus.py --out-dir``
+# prints them. A writer change that moves one byte fails here.
+CSV_SHA256 = {
+    "fig4a_1hop_axis0_messages.csv":
+        "cbc4e2aa87176dd0ee4420e856449d321cee0c65281a52a65ee6d416f3328063",
+    "fig4a_1hop_axis0_trace.csv":
+        "eef7693689d2288d47a798b2adec386360757f508f3e335bfa66956ec7811814",
+    "fig4b_3hop_axis0_messages.csv":
+        "3a67705bd60b756415890e58e2958e3a5d769b0013727928fbc25ffad0a8d7ea",
+    "fig4b_3hop_axis0_trace.csv":
+        "9a26e95835838b8a37dc9b9ae584fc8442ebf82ba087299c73eaaec361a74d77",
+    "fig5_staircase_axis0_messages.csv":
+        "8b0c2334b6b95636e1b0c5f459dbe02464fdade85af7c71ab9bf6e8e8f304213",
+    "fig5_staircase_axis0_trace.csv":
+        "6eb1d479d7bf94fe6a27646e9bf1811b42e753e543465857bba44155cae9b812",
+    "fig7a_1hop_second_order_axis0_messages.csv":
+        "2767d42504f359a13a0de5727cd3cf1dbde698daae2a8aef9c136812710c44b9",
+    "fig7a_1hop_second_order_axis0_trace.csv":
+        "c17282a6b73b40fed217223c4bcfa9aa652a9916ba02af562f750cf08f1b12ae",
+    "fig7a_1hop_second_order_axis1_messages.csv":
+        "20bdac2563caf99266c2556822f61a57545a3041807d8d4d962b673f53ad0d23",
+    "fig7a_1hop_second_order_axis1_trace.csv":
+        "fed7449c789df5fa6b3eedc772ae7363ed76fd15a5a7b7e3c0bba10e51013120",
+    "fig7b_2hop_second_order_axis0_messages.csv":
+        "9a8fbb350f779b43dda68392357aa5076fb3e90b665050fdf009237b45277799",
+    "fig7b_2hop_second_order_axis0_trace.csv":
+        "a73037a007e6a9db24df09e5da5fe9e985e9c4404008b0d20d636145dbf538f3",
+    "fig7b_2hop_second_order_axis1_messages.csv":
+        "ba63af052644f7c1571743f37946cf1f42af1d8a4a4887200741971e6e1cbf6e",
+    "fig7b_2hop_second_order_axis1_trace.csv":
+        "c1be522160cfaea762d20e926fea0b63eb6b9559dbe249cf6c9502cb12368e77",
+    "fig8_aug_1hop_second_order_axis0_messages.csv":
+        "ebc70544ab90e2fe1f8d846c938846cec6b631b404e21a20e9996b7d8d22e4b2",
+    "fig8_aug_1hop_second_order_axis0_trace.csv":
+        "85d8060b935dff118d5fe4ba6e9cebd6b631bd85da333e20bbcceb634bd4810e",
+    "fig8_aug_1hop_second_order_axis1_messages.csv":
+        "b53462ff6295a2773c2b7d014d9a04bfb9877d9c6751fbe37e923dcf913cd24a",
+    "fig8_aug_1hop_second_order_axis1_trace.csv":
+        "bafefe1cfad5df57b4c522d94709ea0efe71bc110d07bcbccdab9bf4be54ecab",
+    "formation_2hop_second_order_axis0_messages.csv":
+        "9a8fbb350f779b43dda68392357aa5076fb3e90b665050fdf009237b45277799",
+    "formation_2hop_second_order_axis0_trace.csv":
+        "a73037a007e6a9db24df09e5da5fe9e985e9c4404008b0d20d636145dbf538f3",
+    "formation_2hop_second_order_axis1_messages.csv":
+        "ba63af052644f7c1571743f37946cf1f42af1d8a4a4887200741971e6e1cbf6e",
+    "formation_2hop_second_order_axis1_trace.csv":
+        "c1be522160cfaea762d20e926fea0b63eb6b9559dbe249cf6c9502cb12368e77",
+    "secure_leader_axis0_messages.csv":
+        "d6e762ba946967059e22cf3bf36872893249c89448afd7c43e478d5e96211cc9",
+    "secure_leader_axis0_trace.csv":
+        "e7c8ad029a452c060b8024c22df51d97d955739f21e7ca8487d540ab6d299a6e",
+}
+
+
+def test_corpus_csv_bytes_pinned(tmp_path):
+    for name in SCENARIOS:
+        run(load_scenario(corpus_path(name)), tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert len(got) == 24
+    assert got == CSV_SHA256
+
+
 def test_trim_memo_is_per_run():
     # fig5_staircase and fig4b_3hop share net15 and f, so a trim memo kept
     # across runs would answer the second from the first's cuts. Each must

@@ -10,6 +10,7 @@ from rclab.adversary import AttackScript, Waveform, necessity_attack, validate_f
 from rclab.engine import (
     EngineError,
     _MessageLog,
+    _log_rows,
     contraction_oracle,
     convergence_report,
     envelope_nesting_holds,
@@ -18,12 +19,11 @@ from rclab.engine import (
     write_trace_csv,
 )
 from rclab.graphs import DiGraph, Path, TopologySchedule
-from rclab.messaging import Message
 from rclab.robustness import RobustnessQuery, is_jointly_robust_following
 from rclab.scenario import ALGORITHMS, ControlParams, ReferenceFunction, Scenario
 
 from conftest import random_digraph, scenario as corpus_scenario
-from oracles import reference_run
+from oracles import reference_run, walk_relay_round
 
 
 def complete_graph(n):
@@ -349,13 +349,14 @@ class ReferenceMessageLog:
         self.writer.writerow(["round", "src", "dst", "path", "value", "tampered"])
 
     def record(self, k, delivered, senders, adversaries):
+        """``delivered``: destination -> (path nodes, value) pairs in
+        delivery order, as ``walk_relay_round`` returns them."""
         for i in sorted(delivered):
-            for m in delivered[i]:
-                nodes = m.path.nodes
+            for nodes, value in delivered[i]:
                 src = nodes[0]
-                tampered = src in adversaries or m.value != senders[src]
+                tampered = src in adversaries or value != senders[src]
                 self.writer.writerow(
-                    [k, src, i, "-".join(map(str, nodes)), repr(m.value), int(tampered)]
+                    [k, src, i, "-".join(map(str, nodes)), repr(value), int(tampered)]
                 )
 
 
@@ -387,12 +388,21 @@ def reference_write_trace_csv(trace, path):
 
 
 class _Tee:
-    def __init__(self, *logs):
-        self.logs = logs
+    """Hands each round to the engine's log as the engine calls it, and to a
+    ``ReferenceMessageLog`` as what ``walk_relay_round`` delivers, hop by
+    hop and with no plan, to every node of the round's exchange graph."""
 
-    def record(self, *args):
-        for log in self.logs:
-            log.record(*args)
+    def __init__(self, sc, log, reference):
+        self.sc, self.log, self.reference = sc, log, reference
+
+    def record(self, k, log_rows, senders, scripts):
+        self.log.record(k, log_rows, senders, scripts)
+        sc = self.sc
+        g = sc.schedule.graph_at(k)
+        if sc.algorithm == "mw-msr-secure":
+            g = DiGraph(g.n, frozenset((j, i) for j, i in g.edges if {j, i} <= sc.followers))
+        delivered = walk_relay_round(g, senders, sc.l, k, sc.scripts)
+        self.reference.record(k, delivered, senders, sc.adversaries)
 
 
 class TestWritersMatchReference:
@@ -416,7 +426,7 @@ class TestWritersMatchReference:
             with open(paths["messages"], "w", newline="") as fh, open(
                 paths["ref_messages"], "w", newline=""
             ) as ref_fh:
-                trace = run_axis(sc, axis, _Tee(_MessageLog(fh), ReferenceMessageLog(ref_fh)))
+                trace = run_axis(sc, axis, _Tee(sc, _MessageLog(fh), ReferenceMessageLog(ref_fh)))
             write_trace_csv(trace, paths["trace"])
             reference_write_trace_csv(trace, paths["ref_trace"])
             for kind in ("messages", "trace"):
@@ -430,29 +440,36 @@ class TestMessageLogValues:
         sender = 0.1
         equal = float(repr(sender))
         assert equal == sender and equal is not sender
-        senders = {1: 0.0, 2: 5.0, 3: sender, 4: 2.5}
-        delivered = {
-            5: (
-                Message(-0.0, Path((1, 5))),  # equal to the sender's 0.0, but signed
-                Message(equal, Path((3, 5))),  # equal value, another float object
-                Message(senders[4], Path((4, 2, 5))),  # adversary's own value object
-            )
+        scripts = {
+            6: AttackScript(6, Waveform.constant(-0.0)),  # equal to 1's 0.0, but signed
+            7: AttackScript(7, Waveform.constant(equal)),  # equal value, another float object
+            4: AttackScript(4, Waveform.constant(2.5)),
         }
+        # Adversary 4 holds the very float object it emits.
+        senders = {1: 0.0, 3: sender, 4: scripts[4].default.center}
+        paths = {5: (Path((1, 6, 5)), Path((3, 7, 5)), Path((4, 2, 5)))}
         fh = io.StringIO(newline="")
-        _MessageLog(fh).record(7, delivered, senders, frozenset({4}))
+        _MessageLog(fh).record(7, _log_rows(paths, scripts), senders, scripts)
         assert fh.getvalue().split("\r\n") == [
             "round,src,dst,path,value,tampered",
-            "7,1,5,1-5,-0.0,0",
-            "7,3,5,3-5,0.1,0",
+            "7,1,5,1-6-5,-0.0,0",
+            "7,3,5,3-7-5,0.1,0",
             "7,4,5,4-2-5,2.5,1",
             "",
         ]
+
+    def test_round_without_paths_writes_no_row(self):
+        # A graph with no edges delivers nothing: the round adds no line.
+        fh = io.StringIO(newline="")
+        _MessageLog(fh).record(3, _log_rows({1: (), 2: ()}, {}), {1: 0.0, 2: 1.0}, {})
+        assert fh.getvalue() == "round,src,dst,path,value,tampered\r\n"
 
 
 class TestDeliveryScope:
     @pytest.mark.parametrize("name", ["fig4b_3hop", "fig7b_2hop_second_order", "secure_leader"])
     def test_message_log_changes_no_trace_series(self, name):
-        # Without a log only the trimming followers receive messages.
+        # The log writes from a plan of its own; the loop's plan covers the
+        # trimming followers only, with or without a log.
         sc = corpus_scenario(name)
         sc.validate()
         for axis in range(sc.axes):
@@ -527,17 +544,22 @@ def random_scenario(rng):
     )
 
 
+def random_runs():
+    """TestReferenceRun's 60 scenarios, each drawn with whether it logs."""
+    rng = random.Random(1789)
+    for _ in range(60):
+        sc = random_scenario(rng)
+        sc.validate()
+        yield sc, rng.random() < 0.5
+
+
 class TestReferenceRun:
     """The engine against ``oracles.reference_run``, which relays hop by hop
     and trims by exhaustive search, with no plan, route or memo."""
 
     def test_matches_engine_on_random_scenarios(self):
-        rng = random.Random(1789)
         seen = Counter()
-        for _ in range(60):
-            sc = random_scenario(rng)
-            sc.validate()
-            logged = rng.random() < 0.5
+        for sc, logged in random_runs():
             trace = run_axis(sc, 0, _MessageLog(io.StringIO(newline="")) if logged else None)
             x, v, means = reference_run(sc, 0, sc.max_rounds)
             for name, got, want in (("x", trace.x, x), ("v", trace.v, v),
@@ -549,3 +571,18 @@ class TestReferenceRun:
             seen.update(s.relay_mode for s in sc.scripts.values())
             seen.update("groups" for s in sc.scripts.values() if s.groups)
         assert len(seen) == 16 and min(seen.values()) >= 3, seen
+
+    def test_message_log_matches_reference_log(self):
+        # The plan-built log against ReferenceMessageLog fed by
+        # walk_relay_round, byte for byte, on the runs that log.
+        seen = Counter()
+        for sc, logged in random_runs():
+            if not logged:
+                continue
+            fh, ref_fh = io.StringIO(newline=""), io.StringIO(newline="")
+            trace = run_axis(sc, 0, _Tee(sc, _MessageLog(fh), ReferenceMessageLog(ref_fh)))
+            assert fh.getvalue() == ref_fh.getvalue()
+            assert fh.getvalue().count("\r\n") > trace.rounds
+            seen.update(s.relay_mode for s in sc.scripts.values())
+            seen.update("groups" for s in sc.scripts.values() if s.groups)
+        assert min(seen[key] for key in ("same", "identity", "groups")) >= 3, seen

@@ -392,6 +392,21 @@ class TestCli:
         assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
         assert res.stderr.startswith(f"error: {message}") and "Traceback" not in res.output
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("simulate", "--scenario", "secure_leader", "--max-rounds", "abc"),
+          "Invalid value for '--max-rounds'"),
+         (("check-robustness", "--topology", "net9", "--l", "1", "--f", "1"),
+          "Missing option '--r'"),
+         (("simulat",), "No such command 'simulat'")],
+        ids=["simulate-bad-int", "check-robustness-missing-r", "unknown-command"],
+    )
+    def test_usage_error_exits_1(self, args, message):
+        # Exit 2 means a robustness violation, so a typo must not exit 2.
+        res = self.invoke(*args)
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert message in res.stderr and "Traceback" not in res.output
+
     def test_simulate_convergent(self, tmp_path):
         res = self.invoke("simulate", "--scenario", "secure_leader",
                           "--out-dir", str(tmp_path))
