@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, islice, repeat
 from pathlib import Path as FsPath
 from typing import NamedTuple
 
@@ -20,7 +21,7 @@ from .agents import (
     second_order_step,
     trim_route,
 )
-from .graphs import DiGraph, all_paths_into
+from .graphs import DiGraph, TopologySchedule, all_paths_into
 from .messaging import RelayPlan, relay_plan, relay_round, slot_values
 from .scenario import Scenario
 
@@ -109,18 +110,33 @@ def _paths_for(g: DiGraph, l: int):
     return {i: tuple(all_paths_into(g, i, l)) for i in g.nodes}
 
 
+def _exchange_schedule(scenario: Scenario) -> TopologySchedule:
+    """The schedule values travel over: secure mode exchanges them among the
+    followers only."""
+    if scenario.algorithm == "mw-msr-secure":
+        return scenario.schedule.induced(scenario.followers)
+    return scenario.schedule
+
+
 class _LogRows(NamedTuple):
-    """A message log's rows over one exchange graph, built before round 0.
+    """A message log's rows over one exchange graph, built before its first
+    round.
 
     ``plan`` covers every node. ``heads`` holds each row's ``src,dst,path,``
     head, by destination id and then delivery order, and ``rows`` each row's
-    index into ``keys``, the distinct (plan slot, source) pairs.
+    index into the distinct (plan slot, source) keys. Per key, ``slots``
+    holds its slot and ``flags`` its ``,tampered`` line end: 1 for an
+    adversary source, else 0. ``live`` lists, as (key, slot, source), the
+    keys of a "same" relay's rewrite of an honest source's value, whose flag
+    is 1 in a round where the value is unequal (``!=``) to the source's.
     """
 
     plan: RelayPlan
     heads: tuple[str, ...]
     rows: tuple[int, ...]
-    keys: tuple[tuple[int, int], ...]
+    slots: tuple[int, ...]
+    flags: tuple[str, ...]
+    live: tuple[tuple[int, int, int], ...]
 
 
 def _log_rows(paths, scripts) -> _LogRows:
@@ -131,35 +147,49 @@ def _log_rows(paths, scripts) -> _LogRows:
             nodes = p.nodes
             heads.append(f"{nodes[0]},{i},{'-'.join(map(str, nodes))},")
             rows.append(keys.setdefault((s, nodes[0]), len(keys)))
-    return _LogRows(plan, tuple(heads), tuple(rows), tuple(keys))
+    # An honest slot carries its source's own value, so its flag is 0.
+    honest = len(plan.sources)
+    live = tuple((key, s, src) for key, (s, src) in enumerate(keys)
+                 if s >= honest and src not in scripts)
+    flags = tuple(",1\r\n" if src in scripts else ",0\r\n" for _, src in keys)
+    return _LogRows(plan, tuple(heads), tuple(rows), tuple(s for s, _ in keys), flags, live)
 
 
 class _MessageLog:
-    """Optional streaming sink for the messages every node receives each
-    round.
+    """The messages every node of the exchange graph receives each round,
+    written after the run from the recorded states.
 
     Rows are csv excel-dialect text (CRLF line ends); no field ever needs
     quoting. They are written from a plan over every node (``_LogRows``),
-    not from what the loop delivers: each round formats one
-    ``value,tampered`` tail per (slot, source) key and writes the round in
-    one call. The plan's table evaluates the round's emissions a second
-    time, which ``AttackScript.emit``, pure by contract, allows.
+    one per exchange graph: each round reads the plan's value table, reprs
+    each emission once, takes each honest source's repr from the round's
+    trace rows and writes the round in one call. The table evaluates the
+    round's emissions a second time, which ``AttackScript.emit``, pure by
+    contract, allows.
     """
 
-    def __init__(self, fh):
+    def __init__(self, fh, scenario: Scenario):
         self.fh = fh
+        self.scripts = scenario.scripts
+        self.exchange = _exchange_schedule(scenario)
+        self.log_rows = {g: _log_rows(_paths_for(g, scenario.l), self.scripts)
+                         for g in dict.fromkeys(self.exchange.graphs)}
         fh.write("round,src,dst,path,value,tampered\r\n")
 
-    def record(self, k, log_rows, senders, scripts):
+    def record(self, k, senders, reprs):
+        """Round k's rows; ``reprs[j]`` is ``repr(senders[j])``."""
+        log_rows = self.log_rows[self.exchange.graph_at(k)]
         if not log_rows.heads:
             return
-        table = slot_values(log_rows.plan, senders, k, scripts)
-        # Tampered: the source is an adversary, or the value is unequal to
-        # the source's (so -0.0 relayed for 0.0 is not).
-        tails = [f"{table[s]!r},{int(src in scripts or table[s] != senders[src])}"
-                 for s, src in log_rows.keys]
-        rows = map(str.__add__, log_rows.heads, map(tails.__getitem__, log_rows.rows))
-        self.fh.write(f"{k}," + f"\r\n{k},".join(rows) + "\r\n")
+        plan = log_rows.plan
+        table = slot_values(plan, senders, k, self.scripts)
+        values = list(map(reprs.__getitem__, plan.sources))
+        values += map(repr, islice(table, len(values), None))
+        tails = list(map(str.__add__, map(values.__getitem__, log_rows.slots), log_rows.flags))
+        for key, s, src in log_rows.live:
+            tails[key] = values[s] + (",1\r\n" if table[s] != senders[src] else ",0\r\n")
+        rows = zip(repeat(f"{k},"), log_rows.heads, map(tails.__getitem__, log_rows.rows))
+        self.fh.write("".join(chain.from_iterable(rows)))
 
 
 def _initial_axis_state(scenario: Scenario, axis: int):
@@ -187,7 +217,7 @@ def _envelope(states: dict[int, float], nodes: frozenset[int]) -> tuple[float, f
     return min(vals), max(vals)
 
 
-def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = None) -> Trace:
+def run_axis(scenario: Scenario, axis: int) -> Trace:
     """Simulate one axis until it converges or reaches ``max_rounds``.
 
     Node roles are fixed before the loop. Anchors (the normal leaders, and in
@@ -195,30 +225,24 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
     the other normal followers trim and average; adversaries follow their
     scripts.
     """
-    schedule = scenario.schedule
     second = scenario.second_order
     scripts = scenario.scripts
     adversaries = scenario.adversaries
     normal_followers = scenario.normal_followers
     ref = scenario.reference
     anchors = scenario.normal_leaders
-    # Secure mode exchanges values among the followers only.
-    exchange = schedule
     if scenario.algorithm == "mw-msr-secure":
         anchors |= scenario.secure_virtual_leaders() & normal_followers
-        exchange = schedule.induced(scenario.followers)
+    exchange = _exchange_schedule(scenario)
     anchor_followers = anchors & normal_followers
     trimming = normal_followers - anchors
     # Only the trimming followers receive: one plan per exchange graph, and
-    # one trim route per (graph, trimming follower). The message log records
-    # what every node would receive from a plan of its own. All are built
-    # before round 0.
+    # one trim route per (graph, trimming follower), built before round 0.
     plans = {}
     for g in dict.fromkeys(exchange.graphs):
         paths = _paths_for(g, scenario.l)
         plan = relay_plan({i: paths[i] for i in trimming}, scripts)
-        log_rows = _log_rows(paths, scripts) if message_log is not None else None
-        plans[g] = plan, {i: trim_route(*plan.routes[i]) for i in trimming}, log_rows
+        plans[g] = plan, {i: trim_route(*plan.routes[i]) for i in trimming}
     # Second order: anchors and adversaries are at rest after every round.
     at_rest = dict.fromkeys(anchors | adversaries, 0.0)
 
@@ -255,10 +279,8 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
 
         # Exchange over the round's graph.
         g = exchange.graph_at(k)
-        plan, routes, log_rows = plans[g]
+        plan, routes = plans[g]
         delivered = relay_round(g, x, scenario.l, k, scripts, plan)
-        if message_log is not None:
-            message_log.record(k, log_rows, x, scripts)
 
         # Anchored followers average nothing; they record their own value.
         means = {i: x[i] for i in anchor_followers}
@@ -286,26 +308,19 @@ def run_axis(scenario: Scenario, axis: int, message_log: _MessageLog | None = No
 
 
 def run(scenario: Scenario, out_dir: FsPath | str | None = None) -> SimulationResult:
-    """Validate, simulate every axis, and optionally write trace files."""
+    """Validate, simulate every axis, and optionally write each axis's trace
+    and message files once it has run, so an axis that fails writes neither."""
     scenario.validate()
     out = FsPath(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     traces = []
     for axis in range(scenario.axes):
-        log_fh = None
-        log = None
-        if out is not None:
-            log_fh = open(out / f"{scenario.name}_axis{axis}_messages.csv", "w", newline="")
-            log = _MessageLog(log_fh)
-        try:
-            trace = run_axis(scenario, axis, log)
-        finally:
-            if log_fh is not None:
-                log_fh.close()
+        trace = run_axis(scenario, axis)
         traces.append(trace)
         if out is not None:
-            write_trace_csv(trace, out / f"{scenario.name}_axis{axis}_trace.csv")
+            stem = f"{scenario.name}_axis{axis}"
+            write_trace_csv(trace, out / f"{stem}_trace.csv", out / f"{stem}_messages.csv")
     reports = tuple(convergence_report(t) for t in traces)
     return SimulationResult(scenario, tuple(traces), reports)
 
@@ -428,13 +443,16 @@ def two_step_identity_deviation(trace: Trace) -> float:
 # Trace output
 
 
-def write_trace_csv(trace: Trace, path: FsPath | str) -> None:
-    """One row per (round, node), as csv excel-dialect text (CRLF line
-    ends; no field needs quoting), one write per round."""
+def write_trace_csv(trace: Trace, path: FsPath | str, messages_path: FsPath | str) -> None:
+    """One row per (round, node) to ``path``, and the message log of every
+    exchanged round to ``messages_path`` (``_MessageLog``): csv
+    excel-dialect text (CRLF line ends; no field needs quoting), one write
+    per round and file. Each round's x values are repr'd once, for both."""
     second = trace.second_order
     scenario = trace.scenario
+    nodes = range(1, scenario.schedule.n + 1)
     heads = []
-    for i in range(1, scenario.schedule.n + 1):
+    for i in nodes:
         if i in scenario.adversaries:
             role = "adversary"
         elif i in scenario.leaders:
@@ -442,14 +460,19 @@ def write_trace_csv(trace: Trace, path: FsPath | str) -> None:
         else:
             role = "follower"
         heads.append((i, f",{i},{role},"))
-    with open(path, "w", newline="") as fh:
+    last = trace.rounds - 1
+    with open(path, "w", newline="") as fh, open(messages_path, "w", newline="") as log_fh:
+        log = _MessageLog(log_fh, scenario)
         fh.write(f"round,node,role,x,{'v,' if second else ''}V,V_hat\r\n")
-        for k in range(trace.rounds):
-            x = trace.x[k]
+        for k, x in enumerate(trace.x):
+            # Node-indexed: reprs[i] is repr(x[i]).
+            reprs = [None, *map(repr, map(x.__getitem__, nodes))]
             if second:
                 v = trace.v[k]
                 tail = f",{trace.V[k]!r},{trace.V_hat[k]!r}\r\n"
-                fh.write("".join(f"{k}{head}{x[i]!r},{v[i]!r}{tail}" for i, head in heads))
+                fh.write("".join([f"{k}{head}{reprs[i]},{v[i]!r}{tail}" for i, head in heads]))
             else:
                 tail = f",{trace.V[k]!r},\r\n"
-                fh.write("".join(f"{k}{head}{x[i]!r}{tail}" for i, head in heads))
+                fh.write("".join([f"{k}{head}{reprs[i]}{tail}" for i, head in heads]))
+            if k < last:
+                log.record(k, x, reprs)

@@ -106,7 +106,7 @@ def relay_round(
     Every sender value and emission that some path carries must be finite
     (``slot_values``). Emissions must be pure in (round, receiver): a caller
     may evaluate them again for another plan of the round, as the engine's
-    message log does.
+    message log does after the run.
 
     ``plan`` defaults to every node of g with all its paths of at most l
     hops; callers that relay over g again pass it to amortize it.

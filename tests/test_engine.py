@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import io
 import random
 from collections import Counter
 
@@ -9,8 +8,7 @@ import pytest
 from rclab.adversary import AttackScript, Waveform, necessity_attack, validate_f_local
 from rclab.engine import (
     EngineError,
-    _MessageLog,
-    _log_rows,
+    Trace,
     contraction_oracle,
     convergence_report,
     envelope_nesting_holds,
@@ -18,7 +16,7 @@ from rclab.engine import (
     run_axis,
     write_trace_csv,
 )
-from rclab.graphs import DiGraph, Path, TopologySchedule
+from rclab.graphs import DiGraph, TopologySchedule
 from rclab.robustness import RobustnessQuery, is_jointly_robust_following
 from rclab.scenario import ALGORITHMS, ControlParams, ReferenceFunction, Scenario
 
@@ -315,7 +313,7 @@ class TestTraceOutput:
     def test_csv_columns(self, tmp_path):
         trace = run(make_scenario()).traces[0]
         out = tmp_path / "trace.csv"
-        write_trace_csv(trace, out)
+        write_trace_csv(trace, out, tmp_path / "messages.csv")
         rows = list(csv.reader(open(out)))
         assert rows[0] == ["round", "node", "role", "x", "V", "V_hat"]
         assert len(rows) == 1 + trace.rounds * trace.scenario.schedule.n
@@ -387,22 +385,39 @@ def reference_write_trace_csv(trace, path):
                 writer.writerow(row)
 
 
-class _Tee:
-    """Hands each round to the engine's log as the engine calls it, and to a
-    ``ReferenceMessageLog`` as what ``walk_relay_round`` delivers, hop by
-    hop and with no plan, to every node of the round's exchange graph."""
+def reference_exchange_graph(sc, k):
+    """Round k's exchange graph, built from the edges: secure mode keeps
+    only the edges among the followers."""
+    g = sc.schedule.graph_at(k)
+    if sc.algorithm == "mw-msr-secure":
+        g = DiGraph(g.n, frozenset((j, i) for j, i in g.edges if {j, i} <= sc.followers))
+    return g
 
-    def __init__(self, sc, log, reference):
-        self.sc, self.log, self.reference = sc, log, reference
 
-    def record(self, k, log_rows, senders, scripts):
-        self.log.record(k, log_rows, senders, scripts)
-        sc = self.sc
-        g = sc.schedule.graph_at(k)
-        if sc.algorithm == "mw-msr-secure":
-            g = DiGraph(g.n, frozenset((j, i) for j, i in g.edges if {j, i} <= sc.followers))
-        delivered = walk_relay_round(g, senders, sc.l, k, sc.scripts)
-        self.reference.record(k, delivered, senders, sc.adversaries)
+def reference_write_messages_csv(trace, path):
+    """``ReferenceMessageLog`` fed after the run: for each exchanged round k,
+    what ``walk_relay_round`` delivers from ``trace.x[k]``, hop by hop and
+    with no plan, to every node of the round's exchange graph."""
+    sc = trace.scenario
+    with open(path, "w", newline="") as fh:
+        log = ReferenceMessageLog(fh)
+        for k in range(trace.rounds - 1):
+            g = reference_exchange_graph(sc, k)
+            senders = trace.x[k]
+            log.record(k, walk_relay_round(g, senders, sc.l, k, sc.scripts), senders, sc.adversaries)
+
+
+def assert_writers_match_reference(trace, tmp_path):
+    """Both files of ``write_trace_csv`` equal the reference writers' byte
+    for byte; returns the message file's bytes."""
+    got = {kind: tmp_path / f"{kind}.csv" for kind in ("trace", "messages")}
+    want = {kind: tmp_path / f"ref_{kind}.csv" for kind in got}
+    write_trace_csv(trace, got["trace"], got["messages"])
+    reference_write_trace_csv(trace, want["trace"])
+    reference_write_messages_csv(trace, want["messages"])
+    for kind in got:
+        assert got[kind].read_bytes() == want[kind].read_bytes(), kind
+    return got["messages"].read_bytes()
 
 
 class TestWritersMatchReference:
@@ -419,24 +434,12 @@ class TestWritersMatchReference:
         sc = corpus_scenario(name)
         sc.validate()
         for axis in range(sc.axes):
-            paths = {
-                kind: tmp_path / f"{kind}{axis}.csv"
-                for kind in ("messages", "ref_messages", "trace", "ref_trace")
-            }
-            with open(paths["messages"], "w", newline="") as fh, open(
-                paths["ref_messages"], "w", newline=""
-            ) as ref_fh:
-                trace = run_axis(sc, axis, _Tee(sc, _MessageLog(fh), ReferenceMessageLog(ref_fh)))
-            write_trace_csv(trace, paths["trace"])
-            reference_write_trace_csv(trace, paths["ref_trace"])
-            for kind in ("messages", "trace"):
-                got = paths[kind].read_bytes()
-                assert got == paths[f"ref_{kind}"].read_bytes()
-                assert got.count(b"\r\n") > trace.rounds
+            trace = run_axis(sc, axis)
+            assert assert_writers_match_reference(trace, tmp_path).count(b"\r\n") > trace.rounds
 
 
 class TestMessageLogValues:
-    def test_signed_zero_and_equal_values(self):
+    def test_signed_zero_and_equal_values(self, tmp_path):
         sender = 0.1
         equal = float(repr(sender))
         assert equal == sender and equal is not sender
@@ -445,39 +448,40 @@ class TestMessageLogValues:
             7: AttackScript(7, Waveform.constant(equal)),  # equal value, another float object
             4: AttackScript(4, Waveform.constant(2.5)),
         }
+        g = DiGraph.from_edges(7, [(1, 6), (6, 5), (3, 7), (7, 5), (4, 2), (2, 5)])
+        sc = make_scenario(schedule=TopologySchedule.static(g), l=2, scripts=scripts)
         # Adversary 4 holds the very float object it emits.
-        senders = {1: 0.0, 3: sender, 4: scripts[4].default.center}
-        paths = {5: (Path((1, 6, 5)), Path((3, 7, 5)), Path((4, 2, 5)))}
-        fh = io.StringIO(newline="")
-        _MessageLog(fh).record(7, _log_rows(paths, scripts), senders, scripts)
-        assert fh.getvalue().split("\r\n") == [
-            "round,src,dst,path,value,tampered",
-            "7,1,5,1-6-5,-0.0,0",
-            "7,3,5,3-7-5,0.1,0",
-            "7,4,5,4-2-5,2.5,1",
-            "",
+        senders = {1: 0.0, 2: 1.0, 3: sender, 4: scripts[4].default.center, 5: 1.0, 6: 1.0, 7: 1.0}
+        trace = Trace(sc, x=[senders, senders], V=[1.0, 1.0])
+        write_trace_csv(trace, tmp_path / "trace.csv", tmp_path / "messages.csv")
+        header, *rows, end = (tmp_path / "messages.csv").read_bytes().decode().split("\r\n")
+        assert (header, end) == ("round,src,dst,path,value,tampered", "")
+        assert [r for r in rows if r.split(",")[3] in ("1-6-5", "3-7-5", "4-2-5")] == [
+            "0,1,5,1-6-5,-0.0,0",
+            "0,3,5,3-7-5,0.1,0",
+            "0,4,5,4-2-5,2.5,1",
         ]
 
-    def test_round_without_paths_writes_no_row(self):
-        # A graph with no edges delivers nothing: the round adds no line.
-        fh = io.StringIO(newline="")
-        _MessageLog(fh).record(3, _log_rows({1: (), 2: ()}, {}), {1: 0.0, 2: 1.0}, {})
-        assert fh.getvalue() == "round,src,dst,path,value,tampered\r\n"
+    def test_round_without_paths_writes_no_row(self, tmp_path):
+        # A graph with no edges delivers nothing: the rounds add no line.
+        sc = make_scenario(schedule=TopologySchedule.static(DiGraph(4, frozenset())))
+        trace = Trace(sc, x=[{1: 0.0, 2: 1.0, 3: 1.0, 4: 1.0}] * 3, V=[1.0] * 3)
+        write_trace_csv(trace, tmp_path / "trace.csv", tmp_path / "messages.csv")
+        assert (tmp_path / "messages.csv").read_bytes() == b"round,src,dst,path,value,tampered\r\n"
 
 
 class TestDeliveryScope:
     @pytest.mark.parametrize("name", ["fig4b_3hop", "fig7b_2hop_second_order", "secure_leader"])
-    def test_message_log_changes_no_trace_series(self, name):
-        # The log writes from a plan of its own; the loop's plan covers the
-        # trimming followers only, with or without a log.
+    def test_message_log_changes_no_trace_series(self, name, tmp_path):
+        # The CSVs are written after each axis has run, from its recorded
+        # states; writing them changes no series.
         sc = corpus_scenario(name)
-        sc.validate()
-        for axis in range(sc.axes):
-            quiet = run_axis(sc, axis)
-            logged = run_axis(sc, axis, _MessageLog(io.StringIO(newline="")))
-            assert quiet.rounds > 1
+        quiet, written = run(sc), run(sc, tmp_path)
+        assert len(list(tmp_path.iterdir())) == 2 * sc.axes
+        for a, b in zip(quiet.traces, written.traces, strict=True):
+            assert a.rounds > 1
             for series in ("x", "v", "V", "V_hat", "residual", "retained_mean"):
-                assert repr(getattr(quiet, series)) == repr(getattr(logged, series)), series
+                assert repr(getattr(a, series)) == repr(getattr(b, series)), series
 
 
 # Values the random scenarios draw from: a small set, so that values of
@@ -545,12 +549,17 @@ def random_scenario(rng):
 
 
 def random_runs():
-    """TestReferenceRun's 60 scenarios, each drawn with whether it logs."""
+    """TestReferenceRun's 60 scenarios."""
     rng = random.Random(1789)
     for _ in range(60):
         sc = random_scenario(rng)
         sc.validate()
-        yield sc, rng.random() < 0.5
+        rng.random()  # a draw the seeded sequence has always made; keeps the 60 the same
+        yield sc
+
+
+def reprs(states):
+    return [{i: repr(s) for i, s in d.items()} for d in states]
 
 
 class TestReferenceRun:
@@ -559,30 +568,64 @@ class TestReferenceRun:
 
     def test_matches_engine_on_random_scenarios(self):
         seen = Counter()
-        for sc, logged in random_runs():
-            trace = run_axis(sc, 0, _MessageLog(io.StringIO(newline="")) if logged else None)
+        for sc in random_runs():
+            trace = run_axis(sc, 0)
             x, v, means = reference_run(sc, 0, sc.max_rounds)
             for name, got, want in (("x", trace.x, x), ("v", trace.v, v),
                                     ("retained_mean", trace.retained_mean, means)):
-                assert [{i: repr(s) for i, s in d.items()} for d in got] == \
-                    [{i: repr(s) for i, s in d.items()} for d in want], name
-            seen.update([sc.algorithm, f"l={sc.l}", f"f={sc.f}", f"logged={logged}",
+                assert reprs(got) == reprs(want), name
+            seen.update([sc.algorithm, f"l={sc.l}", f"f={sc.f}",
                          f"intervals={len(sc.schedule.interval_lengths)}"])
             seen.update(s.relay_mode for s in sc.scripts.values())
             seen.update("groups" for s in sc.scripts.values() if s.groups)
-        assert len(seen) == 16 and min(seen.values()) >= 3, seen
+        assert len(seen) == 14 and min(seen.values()) >= 3, seen
 
-    def test_message_log_matches_reference_log(self):
-        # The plan-built log against ReferenceMessageLog fed by
-        # walk_relay_round, byte for byte, on the runs that log.
+    def test_message_log_matches_reference_log(self, tmp_path):
+        # Both CSVs of each run against the csv.writer references, the
+        # message log fed by walk_relay_round, byte for byte. Every edge is a
+        # one-hop path, so each exchanged round writes at least one row per
+        # edge of its exchange graph, and a round without edges writes none.
         seen = Counter()
-        for sc, logged in random_runs():
-            if not logged:
-                continue
-            fh, ref_fh = io.StringIO(newline=""), io.StringIO(newline="")
-            trace = run_axis(sc, 0, _Tee(sc, _MessageLog(fh), ReferenceMessageLog(ref_fh)))
-            assert fh.getvalue() == ref_fh.getvalue()
-            assert fh.getvalue().count("\r\n") > trace.rounds
+        for sc in random_runs():
+            trace = run_axis(sc, 0)
+            lines = assert_writers_match_reference(trace, tmp_path).split(b"\r\n")[1:-1]
+            rows = Counter(int(line.split(b",", 1)[0]) for line in lines)
+            edges = {k: len(reference_exchange_graph(sc, k).edges) for k in range(trace.rounds - 1)}
+            assert {k for k, e in edges.items() if e} == set(rows), sc.name
+            assert all(rows[k] >= e for k, e in edges.items()), sc.name
             seen.update(s.relay_mode for s in sc.scripts.values())
             seen.update("groups" for s in sc.scripts.values() if s.groups)
         assert min(seen[key] for key in ("same", "identity", "groups")) >= 3, seen
+
+
+class TestStoppingRule:
+    """The loop's stop against its definition on random scenarios with
+    reference steps, a short window and a loose tolerance."""
+
+    def test_stops_at_first_full_window_of_last_segment(self):
+        rng = random.Random(2029)
+        early = 0
+        for _ in range(40):
+            sc = dataclasses.replace(random_scenario(rng), window=rng.randint(2, 5),
+                                     tol=rng.choice([0.05, 0.5, 2.0]))
+            sc.validate()
+            x, v, means = reference_run(sc, 0, sc.max_rounds)
+            nodes = sc.normal_followers
+            res = []
+            for k in range(sc.max_rounds + 1):
+                r = sc.reference.value_at(k)
+                dev = [abs(x[k][i] - r) for i in nodes] + [abs(v[k][i]) for i in nodes if v]
+                res.append(max(dev, default=0.0))
+            # The first round ending `window` rounds within tol, all of them
+            # in the last reference segment.
+            w, start = sc.window, sc.reference.pieces[-1][0]
+            stop = next((k for k in range(start + w - 1, sc.max_rounds + 1)
+                         if all(e <= sc.tol for e in res[k - w + 1:k + 1])), sc.max_rounds)
+            trace = run_axis(sc, 0)
+            assert trace.rounds == stop + 1
+            for name, got, want in (("x", trace.x, x[:stop + 1]), ("v", trace.v, v[:stop + 1]),
+                                    ("retained_mean", trace.retained_mean, means[:stop])):
+                assert reprs(got) == reprs(want), name
+            assert [repr(e) for e in trace.residual] == [repr(e) for e in res[:stop + 1]]
+            early += stop < sc.max_rounds
+        assert early >= 10, early

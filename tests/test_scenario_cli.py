@@ -444,6 +444,20 @@ class TestCli:
         assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
         assert "error:" in res.output and "Traceback" not in res.output
 
+    def test_simulate_failing_axis_writes_no_csv(self, tmp_path):
+        # The first update overflows, after round 0's exchange: the axis
+        # leaves no CSV, whole or in part.
+        data = {"topology": "net7_secure", "algorithm": "mw-msr", "f": 0, "l": 1,
+                "reference": 1.0, "init": {i: 1.7e308 for i in range(2, 8)}}
+        p = tmp_path / "huge.yaml"
+        p.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        res = self.invoke("simulate", "--scenario", str(p), "--out-dir", str(out))
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert "error: retained values overflow their sum" in res.output
+        assert "Traceback" not in res.output
+        assert list(out.glob("*_axis0_*.csv")) == []
+
     def test_simulate_unknown_scenario(self):
         res = self.invoke("simulate", "--scenario", "no_such_thing")
         assert res.exit_code == 1
