@@ -16,7 +16,11 @@ speed falls on both sides alike. The output holds:
   IQR, the change in per cent of the parent's median, the number of pairs the
   change wins (strictly better, in the direction BENCHMARK.json gives), and
   ``clear_gain``: it wins at least nine pairs in ten and its median is
-  better by more than the parent's IQR;
+  better by more than the parent's IQR. The end-to-end metrics are those of
+  BENCHMARK.json and the raw wall times ``run_s``, ``op_s.p50`` and
+  ``op_s.max`` (lower is better, no bound), which ``perfbench/run.py``
+  prints but leaves out of its JSON line; each run's ``metrics`` gains them.
+  They show when ``run_ref`` moves only because the probe it divides by did;
 * ``traced``: one ``--trace 1`` run per side for each ``--traced`` workload
   and seed, with the count of metrics reported as null;
 * ``gate``: one 1-second run per side, workload (all four) and gate seed:
@@ -42,6 +46,9 @@ WORKLOADS = ("sim-deep", "sim-shallow", "check-holds", "check-fails")
 PAIRS = 10
 GATE_SECONDS = 1
 RUN_TIMEOUT_S = 1800
+# perfbench/run.py's wall-clock forms of run_ref and op_ref.*, read from the
+# lines it prints.
+WALL_CLOCK = ("run_s", "op_s.p50", "op_s.max")
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -56,7 +63,28 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     if proc.returncode != 0:
         return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
                 "error": proc.stderr[-2000:]}
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not trace:
+        result["metrics"].update(wall_clock(proc.stdout))
+    return result
+
+
+def wall_clock(stdout: str) -> dict:
+    """The ``WALL_CLOCK`` metrics of ``perfbench/run.py``'s printed lines
+    (``  NAME [(ALIAS)]  VALUE UNIT``), in the form of its JSON metrics."""
+    out = {}
+    for line in stdout.splitlines():
+        parts = line.split()
+        if parts and parts[0] in WALL_CLOCK:
+            out[parts[0]] = {"value": float(parts[-2]), "unit": parts[-1]}
+    return out
+
+
+def directions(bench: dict) -> dict[str, str]:
+    """Each summarized metric -> "lower" or "higher": BENCHMARK.json's
+    end-to-end metrics, then the wall times."""
+    return {**{m["name"]: m["better"] for m in bench["end_to_end"]},
+            **dict.fromkeys(WALL_CLOCK, "lower")}
 
 
 def pair_order(pair: int) -> tuple[str, str]:
@@ -121,7 +149,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    better = directions(bench)
     seconds = bench["run_seconds"]
     doc = {
         "description": (

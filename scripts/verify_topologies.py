@@ -61,6 +61,21 @@ def main():
     v, s = timed(is_jointly_robust_following, RobustnessQuery(sched15, l15, r=3, l=3, f=2))
     ok &= check("net15 r=3 l=3 f=2", v.holds, True, s)
 
+    # Period 6: the net9 or net15 graphs twice, so the partition into
+    # intervals alone decides the verdict.
+    for name, (r, l, f), want in [
+        ("net9_intervals_3_3", (2, 2, 1), None),
+        ("net9_intervals_2_2_2", (2, 2, 1), (set(), {1, 2, 3, 6}, 0)),
+        ("net15_intervals_2_2_2", (3, 3, 2), (set(), {1, 2, 3, 4, 5, 6, 9, 10}, 0)),
+    ]:
+        sched, leaders = load_topology(corpus_path(name))
+        v, s = timed(is_jointly_robust_following, RobustnessQuery(sched, leaders, r, l, f))
+        ok &= check(f"{name} r={r} l={l} f={f}", v.holds, want is None, s)
+        if want is not None and v.certificate is not None:
+            cert = v.certificate
+            ok &= check("  certificate (F, S, interval)",
+                        (set(cert.F), set(cert.S), cert.interval_index), want)
+
     reduced, virtual = load_scenario(corpus_path("secure_leader")).secure_reduced()
     v, s = timed(is_jointly_robust_following, RobustnessQuery(reduced, virtual, r=2, l=1, f=1))
     ok &= check("net7_secure reduced r=2 l=1 f=1", v.holds, True, s)

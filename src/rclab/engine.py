@@ -8,8 +8,9 @@ average, and the error envelopes are recorded.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, islice, repeat
 from pathlib import Path as FsPath
 from typing import NamedTuple
@@ -31,21 +32,63 @@ class EngineError(ValueError):
 
 
 @dataclass
+class Rows:
+    """A per-round series of one value per key (node), kept as one flat
+    array of doubles: round k's values are ``data[k * w:(k + 1) * w]``, in
+    ``keys`` order, for w = len(keys). Reading round k returns a new plain
+    {key: value} dict."""
+
+    keys: tuple[int, ...]
+    data: array = field(default_factory=partial(array, "d"))
+    rounds: int = 0
+
+    def append(self, values: list[float]) -> None:
+        """Record the next round: one value per key, in key order."""
+        self.data.fromlist(values)
+        self.rounds += 1
+
+    def __len__(self) -> int:
+        return self.rounds
+
+    def __getitem__(self, k: int) -> dict[int, float]:
+        if k < 0:
+            k += self.rounds
+        if not 0 <= k < self.rounds:
+            raise IndexError("round index out of range")
+        w = len(self.keys)
+        return dict(zip(self.keys, self.data[k * w:(k + 1) * w]))
+
+
+@dataclass
 class Trace:
     """Per-round scalars of one simulated axis of ``scenario``.
 
-    ``x`` holds the consensus variable (position offset for second order).
+    ``x`` holds the consensus variable (position offset for second order)
+    and ``v`` the velocity (second order only) of every node.
     ``retained_mean`` stores, for each normal follower, the average of its
-    retained values at each round — enough to replay the update identities.
+    retained values at each exchanged round — enough to replay the update
+    identities. ``V``, ``V_hat`` (second order only) and ``residual`` hold one
+    value per round. ``exchange`` is the schedule values travel over: secure
+    mode exchanges them among the followers only.
     """
 
     scenario: Scenario
-    x: list[dict[int, float]] = field(default_factory=list)
-    v: list[dict[int, float]] = field(default_factory=list)
-    retained_mean: list[dict[int, float]] = field(default_factory=list)
-    V: list[float] = field(default_factory=list)
-    V_hat: list[float] = field(default_factory=list)
-    residual: list[float] = field(default_factory=list)
+    x: Rows = field(init=False)
+    v: Rows = field(init=False)
+    retained_mean: Rows = field(init=False)
+    V: array = field(init=False, default_factory=partial(array, "d"))
+    V_hat: array = field(init=False, default_factory=partial(array, "d"))
+    residual: array = field(init=False, default_factory=partial(array, "d"))
+    exchange: TopologySchedule = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scenario = self.scenario
+        nodes = tuple(range(1, scenario.schedule.n + 1))
+        self.x, self.v = Rows(nodes), Rows(nodes)
+        self.retained_mean = Rows(tuple(sorted(scenario.normal_followers)))
+        self.exchange = scenario.schedule
+        if scenario.algorithm == "mw-msr-secure":
+            self.exchange = scenario.schedule.induced(scenario.followers)
 
     @property
     def rounds(self) -> int:
@@ -110,14 +153,6 @@ def _paths_for(g: DiGraph, l: int):
     return {i: tuple(all_paths_into(g, i, l)) for i in g.nodes}
 
 
-def _exchange_schedule(scenario: Scenario) -> TopologySchedule:
-    """The schedule values travel over: secure mode exchanges them among the
-    followers only."""
-    if scenario.algorithm == "mw-msr-secure":
-        return scenario.schedule.induced(scenario.followers)
-    return scenario.schedule
-
-
 class _LogRows(NamedTuple):
     """A message log's rows over one exchange graph, built before its first
     round.
@@ -168,11 +203,11 @@ class _MessageLog:
     contract, allows.
     """
 
-    def __init__(self, fh, scenario: Scenario):
+    def __init__(self, fh, trace: Trace):
         self.fh = fh
-        self.scripts = scenario.scripts
-        self.exchange = _exchange_schedule(scenario)
-        self.log_rows = {g: _log_rows(_paths_for(g, scenario.l), self.scripts)
+        self.scripts = trace.scenario.scripts
+        self.exchange = trace.exchange
+        self.log_rows = {g: _log_rows(_paths_for(g, trace.scenario.l), self.scripts)
                          for g in dict.fromkeys(self.exchange.graphs)}
         fh.write("round,src,dst,path,value,tampered\r\n")
 
@@ -193,14 +228,15 @@ class _MessageLog:
 
 
 def _initial_axis_state(scenario: Scenario, axis: int):
-    """Initial (x, v) maps for one axis; x holds the consensus variable. A
-    node without init is at rest: at its script's value if it is an adversary
-    but not a leader, else (a leader or virtual leader) at the reference."""
+    """Initial (x, v) lists for one axis, indexed by node (index 0 unused); x
+    holds the consensus variable. A node without init is at rest: at its
+    script's value if it is an adversary but not a leader, else (a leader or
+    virtual leader) at the reference."""
     ref0 = scenario.reference.value_at(0)
-    nodes = scenario.schedule.graphs[0].nodes
-    x: dict[int, float] = {}
-    v = dict.fromkeys(nodes, 0.0)
-    for i in nodes:
+    n = scenario.schedule.n
+    x = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    for i in range(1, n + 1):
         if i in scenario.init:
             vals = scenario.init[i][axis]
             x[i] = vals[0]
@@ -212,8 +248,8 @@ def _initial_axis_state(scenario: Scenario, axis: int):
     return x, v
 
 
-def _envelope(states: dict[int, float], nodes: frozenset[int]) -> tuple[float, float]:
-    vals = [states[i] for i in nodes]
+def _envelope(states, nodes: frozenset[int]) -> tuple[float, float]:
+    vals = list(map(states.__getitem__, nodes))
     return min(vals), max(vals)
 
 
@@ -233,22 +269,23 @@ def run_axis(scenario: Scenario, axis: int) -> Trace:
     anchors = scenario.normal_leaders
     if scenario.algorithm == "mw-msr-secure":
         anchors |= scenario.secure_virtual_leaders() & normal_followers
-    exchange = _exchange_schedule(scenario)
-    anchor_followers = anchors & normal_followers
+    trace = Trace(scenario)
     trimming = normal_followers - anchors
     # Only the trimming followers receive: one plan per exchange graph, and
     # one trim route per (graph, trimming follower), built before round 0.
     plans = {}
-    for g in dict.fromkeys(exchange.graphs):
+    for g in dict.fromkeys(trace.exchange.graphs):
         paths = _paths_for(g, scenario.l)
         plan = relay_plan({i: paths[i] for i in trimming}, scripts)
         plans[g] = plan, {i: trim_route(*plan.routes[i]) for i in trimming}
     # Second order: anchors and adversaries are at rest after every round.
-    at_rest = dict.fromkeys(anchors | adversaries, 0.0)
+    at_rest = tuple(anchors | adversaries)
 
+    # State lists are indexed by node; each round's values are copied into
+    # the trace's arrays.
     x, v = _initial_axis_state(scenario, axis)
-    trace = Trace(scenario)
     metric_nodes = trace.normal_nodes
+    followers = trace.retained_mean.keys
     max_rounds = scenario.max_rounds
     last_piece_start = ref.pieces[-1][0]
     run_length = 0
@@ -260,11 +297,10 @@ def run_axis(scenario: Scenario, axis: int) -> Trace:
         lo, hi = _envelope(x, metric_nodes)
         r_now = ref.value_at(k)
         res = max((abs(x[i] - r_now) for i in normal_followers), default=0.0)
-        # x and v are replaced, never mutated, once recorded.
-        trace.x.append(x)
+        trace.x.append(x[1:])
         trace.V.append(hi - lo)
         if second:
-            trace.v.append(v)
+            trace.v.append(v[1:])
             trace.V_hat.append(max(hi, prev_hi) - min(lo, prev_lo))
             prev_lo, prev_hi = lo, hi
             res = max(res, max((abs(v[i]) for i in normal_followers), default=0.0))
@@ -278,14 +314,14 @@ def run_axis(scenario: Scenario, axis: int) -> Trace:
             break
 
         # Exchange over the round's graph.
-        g = exchange.graph_at(k)
+        g = trace.exchange.graph_at(k)
         plan, routes = plans[g]
         delivered = relay_round(g, x, scenario.l, k, scripts, plan)
 
         # Anchored followers average nothing; they record their own value.
-        means = {i: x[i] for i in anchor_followers}
-        next_x = dict(x)
-        next_v = dict(v) if second else v  # first order neither reads nor records v
+        means = x.copy()
+        next_x = x.copy()
+        next_v = v.copy() if second else v  # first order neither reads nor records v
         for i in trimming:
             means[i] = mw_msr_update(mw_msr_trim(delivered[i], x[i], scenario.f, routes[i]), x[i])
             if second:
@@ -293,14 +329,15 @@ def run_axis(scenario: Scenario, axis: int) -> Trace:
                 next_x[i], next_v[i] = second_order_step(x[i], v[i], u, scenario.params.T)
             else:
                 next_x[i] = means[i]
-        trace.retained_mean.append(means)
+        trace.retained_mean.append(list(map(means.__getitem__, followers)))
 
         for d in anchors:
             next_x[d] = r_now
         for a in adversaries:
             next_x[a] = scripts[a].default.value(k + 1)
         if second:
-            next_v.update(at_rest)
+            for d in at_rest:
+                next_v[d] = 0.0
 
         x, v = next_x, next_v
 
@@ -384,21 +421,17 @@ def envelope_nesting_holds(trace: Trace) -> bool:
     nodes = trace.normal_nodes
     two_step = trace.second_order
     for seg_range, _ in trace.scenario.reference.segments(trace.rounds):
-        ks = [k for k in seg_range]
         # Leaders move to the new reference one round after a step change,
         # so start nesting once the envelope actually contains it.
-        start = ks[0] + 1 if ks[0] > 0 else 0
-        prev = None
-        for k in range(start, ks[-1] + 1):
-            lo, hi = _envelope(trace.x[k], nodes)
-            if two_step and k > start:
-                plo, phi = _envelope(trace.x[k - 1], nodes)
-                lo, hi = min(lo, plo), max(hi, phi)
-            if prev is not None:
-                plo_e, phi_e = prev
-                if lo < plo_e or hi > phi_e:
-                    return False
-            prev = (lo, hi)
+        start = seg_range.start + 1 if seg_range.start > 0 else 0
+        last = prev = None  # round k-1's envelope, and the nested one
+        for k in range(start, seg_range.stop):
+            lo, hi = now = _envelope(trace.x[k], nodes)
+            if two_step and last is not None:
+                lo, hi = min(lo, last[0]), max(hi, last[1])
+            if prev is not None and (lo < prev[0] or hi > prev[1]):
+                return False
+            last, prev = now, (lo, hi)
     return True
 
 
@@ -425,17 +458,23 @@ def two_step_identity_deviation(trace: Trace) -> float:
     if not trace.second_order:
         raise EngineError("two-step identity applies to second-order traces")
     T, beta = trace.scenario.params.T, trace.scenario.params.beta
+    means = trace.retained_mean
     worst = 0.0
-    for k in range(1, len(trace.retained_mean)):
+    if len(means) < 2:
+        return worst
+    x_prev, x_k, m_prev = trace.x[0], trace.x[1], means[0]
+    for k in range(1, len(means)):
+        m_k, x_next = means[k], trace.x[k + 1]
         for i in trace.normal_followers:
-            d_k = trace.retained_mean[k][i] - trace.x[k][i]
-            d_prev = trace.retained_mean[k - 1][i] - trace.x[k - 1][i]
+            d_k = m_k[i] - x_k[i]
+            d_prev = m_prev[i] - x_prev[i]
             predicted = (
-                (2 - T * beta) * trace.x[k][i]
+                (2 - T * beta) * x_k[i]
                 + (T**2 / 2) * (d_k + d_prev)
-                - (1 - T * beta) * trace.x[k - 1][i]
+                - (1 - T * beta) * x_prev[i]
             )
-            worst = max(worst, abs(trace.x[k + 1][i] - predicted))
+            worst = max(worst, abs(x_next[i] - predicted))
+        x_prev, x_k, m_prev = x_k, x_next, m_k
     return worst
 
 
@@ -450,9 +489,9 @@ def write_trace_csv(trace: Trace, path: FsPath | str, messages_path: FsPath | st
     per round and file. Each round's x values are repr'd once, for both."""
     second = trace.second_order
     scenario = trace.scenario
-    nodes = range(1, scenario.schedule.n + 1)
+    n = scenario.schedule.n
     heads = []
-    for i in nodes:
+    for i in range(1, n + 1):
         if i in scenario.adversaries:
             role = "adversary"
         elif i in scenario.leaders:
@@ -460,19 +499,21 @@ def write_trace_csv(trace: Trace, path: FsPath | str, messages_path: FsPath | st
         else:
             role = "follower"
         heads.append((i, f",{i},{role},"))
+    xs, vs, V, V_hat = trace.x.data, trace.v.data, trace.V, trace.V_hat
     last = trace.rounds - 1
     with open(path, "w", newline="") as fh, open(messages_path, "w", newline="") as log_fh:
-        log = _MessageLog(log_fh, scenario)
+        log = _MessageLog(log_fh, trace)
         fh.write(f"round,node,role,x,{'v,' if second else ''}V,V_hat\r\n")
-        for k, x in enumerate(trace.x):
-            # Node-indexed: reprs[i] is repr(x[i]).
-            reprs = [None, *map(repr, map(x.__getitem__, nodes))]
+        for k in range(trace.rounds):
+            # Node-indexed: reprs[i] is repr of node i's x.
+            row = xs[k * n:(k + 1) * n]
+            reprs = [None, *map(repr, row)]
             if second:
-                v = trace.v[k]
-                tail = f",{trace.V[k]!r},{trace.V_hat[k]!r}\r\n"
-                fh.write("".join([f"{k}{head}{reprs[i]},{v[i]!r}{tail}" for i, head in heads]))
+                v_reprs = [None, *map(repr, vs[k * n:(k + 1) * n])]
+                tail = f",{V[k]!r},{V_hat[k]!r}\r\n"
+                fh.write("".join([f"{k}{head}{reprs[i]},{v_reprs[i]}{tail}" for i, head in heads]))
             else:
-                tail = f",{trace.V[k]!r},\r\n"
+                tail = f",{V[k]!r},\r\n"
                 fh.write("".join([f"{k}{head}{reprs[i]}{tail}" for i, head in heads]))
             if k < last:
-                log.record(k, x, reprs)
+                log.record(k, [None, *row], reprs)

@@ -1,6 +1,7 @@
 """End-to-end acceptance checks. Each test prints one PASS/FAIL line."""
 
 import hashlib
+import importlib.util
 import json
 import random
 import time
@@ -408,6 +409,65 @@ def test_corpus_csv_bytes_pinned(tmp_path):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert len(got) == 24
     assert got == CSV_SHA256
+
+
+# SHA-256 of the residual and retained_mean series of each axis, as
+# ``scripts/run_corpus.py``'s ``series_digest`` takes them. The x/v digests
+# are pinned in ``perfbench/pinned.json`` and V, V_hat by the trace CSVs.
+SERIES_SHA256 = {
+    "fig4a_1hop": [
+        ("ce6cda47bd79970cca354eaf676b6b9f2ce72e349d79b18c54340c32c8f2abc5",
+         "2a85a990e9604dd4e8595947f3d9dc76403369ac5180add058369a315a28b5a2"),
+    ],
+    "fig4b_3hop": [
+        ("249cb3cca961c3c8fa61cf389ead4232aa77471a099e958829610a84772eeea1",
+         "785c94a45e830a564d157438236a3f6bc040cae3a3313416738bd2234e19ee0c"),
+    ],
+    "fig5_staircase": [
+        ("7e38f84b3da5cec4141192d7610ec23fca20e20bbe8fa0fa02510f8280d14d8a",
+         "feb63fc7ce8df5dd784c716c9bfb4a510a8ce67370377ccf33f1f665406fdc36"),
+    ],
+    "fig7a_1hop_second_order": [
+        ("875aeb79cb88a05197ba889764ccc9a3bbd1f997d809000412c3d1d764d06ba5",
+         "952178a1edee1e0327a1af7bb22d15210a6d15f059dd9f663ac4f07cd7f741cd"),
+        ("87f3bc531af3d6d288049f5980635f968cae266d91cb396a8af669adb47e4d7e",
+         "dc692f48b7ddef89772b39258d07e03547a784c9e21aa67497cae070e121e1a2"),
+    ],
+    "fig7b_2hop_second_order": [
+        ("a213afa0159a2d1f704cf8d7553737865803418786b534de09d07da436229e6d",
+         "3606a876bfcd463b0f636fd02e9cf815b57dc2dbe1cb2a547ccd03a535898805"),
+        ("f4dff4670240f427416bb7c19703b5b9827246e706e1960dcc1bb13ea65e99ba",
+         "2b1f1532e49d02d7a5954dc03c5d624327517a0ce5734fe30fd46c110c0f4075"),
+    ],
+    "fig8_aug_1hop_second_order": [
+        ("bfdef244f33ce3accfd7c8559b8972d77800a2a7b2b38bf3b3739a7d0455ceaa",
+         "4abdd4f617d0cc1ad059240ab7ba1ad90b9159dac50045a95f7c61ad465e1b38"),
+        ("eca26b3a20ab95f172fc4903dd945eeb25ef70d747c80efd219d694aebc73e70",
+         "8b99d185681034af27e537cf6ca34b90b5dea6256cc50fc8bf31333828b57c9f"),
+    ],
+    "formation_2hop_second_order": [
+        ("a213afa0159a2d1f704cf8d7553737865803418786b534de09d07da436229e6d",
+         "3606a876bfcd463b0f636fd02e9cf815b57dc2dbe1cb2a547ccd03a535898805"),
+        ("f4dff4670240f427416bb7c19703b5b9827246e706e1960dcc1bb13ea65e99ba",
+         "2b1f1532e49d02d7a5954dc03c5d624327517a0ce5734fe30fd46c110c0f4075"),
+    ],
+    "secure_leader": [
+        ("8ac2ccd7274e81530d75d2096120dfd3e56a84ddc859be245893f49a2c87bd5c",
+         "c1a5933114842e8babeceed7363101e938f0930982ee7efe4c47f034ccee8f20"),
+    ],
+}
+
+
+def test_corpus_residual_and_retained_mean_pinned():
+    path = FsPath(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
+    spec = importlib.util.spec_from_file_location("run_corpus", path)
+    run_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_corpus)
+    assert sorted(SERIES_SHA256) == sorted(SCENARIOS)
+    for name in SCENARIOS:
+        got = [(run_corpus.series_digest(t.residual), run_corpus.series_digest(t.retained_mean))
+               for t in corpus_run(name).traces]
+        assert got == SERIES_SHA256[name], name
 
 
 def test_trim_memo_is_per_run():

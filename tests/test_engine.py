@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import gc
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -161,9 +163,9 @@ class TestEnvelopeOracle:
         segment, _ = sc.reference.segments(trace.rounds)[-1]
         k = segment[len(segment) // 2]
         assert segment[0] + 1 < k  # nesting starts the round after the step
-        x = [dict(states) for states in trace.x]
-        x[k][3] = max(x[k - 1][i] for i in trace.normal_nodes) + 1.0
-        assert not envelope_nesting_holds(dataclasses.replace(trace, x=x))
+        # Node 3's value at round k, in the flat array of node-ordered rows.
+        trace.x.data[k * sc.schedule.n + 2] = max(trace.x[k - 1][i] for i in trace.normal_nodes) + 1.0
+        assert not envelope_nesting_holds(trace)
 
 
 class TestConvergenceReport:
@@ -438,6 +440,16 @@ class TestWritersMatchReference:
             assert assert_writers_match_reference(trace, tmp_path).count(b"\r\n") > trace.rounds
 
 
+def recorded_trace(sc, x, rounds):
+    """A first-order trace of ``sc`` holding ``x`` (one value per node, in
+    node order) and V = 1.0 at each of ``rounds`` rounds."""
+    trace = Trace(sc)
+    for _ in range(rounds):
+        trace.x.append(x)
+        trace.V.append(1.0)
+    return trace
+
+
 class TestMessageLogValues:
     def test_signed_zero_and_equal_values(self, tmp_path):
         sender = 0.1
@@ -450,9 +462,8 @@ class TestMessageLogValues:
         }
         g = DiGraph.from_edges(7, [(1, 6), (6, 5), (3, 7), (7, 5), (4, 2), (2, 5)])
         sc = make_scenario(schedule=TopologySchedule.static(g), l=2, scripts=scripts)
-        # Adversary 4 holds the very float object it emits.
-        senders = {1: 0.0, 2: 1.0, 3: sender, 4: scripts[4].default.center, 5: 1.0, 6: 1.0, 7: 1.0}
-        trace = Trace(sc, x=[senders, senders], V=[1.0, 1.0])
+        # Nodes 1-7 in order; adversary 4 holds the value it emits.
+        trace = recorded_trace(sc, [0.0, 1.0, sender, 2.5, 1.0, 1.0, 1.0], 2)
         write_trace_csv(trace, tmp_path / "trace.csv", tmp_path / "messages.csv")
         header, *rows, end = (tmp_path / "messages.csv").read_bytes().decode().split("\r\n")
         assert (header, end) == ("round,src,dst,path,value,tampered", "")
@@ -465,9 +476,57 @@ class TestMessageLogValues:
     def test_round_without_paths_writes_no_row(self, tmp_path):
         # A graph with no edges delivers nothing: the rounds add no line.
         sc = make_scenario(schedule=TopologySchedule.static(DiGraph(4, frozenset())))
-        trace = Trace(sc, x=[{1: 0.0, 2: 1.0, 3: 1.0, 4: 1.0}] * 3, V=[1.0] * 3)
+        trace = recorded_trace(sc, [0.0, 1.0, 1.0, 1.0], 3)
         write_trace_csv(trace, tmp_path / "trace.csv", tmp_path / "messages.csv")
         assert (tmp_path / "messages.csv").read_bytes() == b"round,src,dst,path,value,tampered\r\n"
+
+
+class TestTraceStorage:
+    """Each series is stored as flat doubles; a round of x, v or
+    retained_mean reads back as a new plain {node: value} dict."""
+
+    def test_long_run_retains_about_one_double_per_value(self):
+        sc = corpus_scenario("fig8_aug_1hop_second_order")
+        run(sc)  # fills the path cache, so only the result stays traced
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run(sc)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        n, nf = sc.schedule.n, len(sc.normal_followers)
+        values = sum(2 * t.rounds * n + len(t.retained_mean) * nf
+                     + len(t.V) + len(t.V_hat) + len(t.residual) for t in result.traces)
+        assert [t.rounds for t in result.traces] == [1136, 1128]
+        # 8 B per double plus the arrays' over-allocation.
+        assert retained <= 12 * values + 64 * 1024, (retained, values)
+
+    def test_rows_read_back_as_fresh_dicts(self):
+        trace = run(corpus_scenario("fig7b_2hop_second_order")).traces[0]
+        nodes = set(range(1, trace.scenario.schedule.n + 1))
+        for series, keys in ((trace.x, nodes), (trace.v, nodes),
+                             (trace.retained_mean, trace.normal_followers)):
+            row = series[3]
+            assert type(row) is dict and set(row) == keys
+            row[min(keys)] = 99.0
+            assert series[3] != row and series[3] is not series[3]
+            assert series[-1] == series[len(series) - 1]
+            assert series[-len(series)] == series[0]
+            for k in (len(series), -len(series) - 1):
+                with pytest.raises(IndexError):
+                    series[k]
+
+    @pytest.mark.parametrize("name", ["fig4a_1hop", "fig7b_2hop_second_order"])
+    def test_every_series_has_one_entry_per_round(self, name):
+        # v and V_hat are second order only; retained_mean is recorded for
+        # each exchanged round, every round but the last.
+        trace = run(corpus_scenario(name)).traces[0]
+        second = trace.rounds if trace.second_order else 0
+        assert len(trace.x) == len(trace.V) == len(trace.residual) == trace.rounds > 1
+        assert len(trace.v) == len(trace.V_hat) == second
+        assert len(trace.retained_mean) == trace.rounds - 1
 
 
 class TestDeliveryScope:

@@ -15,7 +15,7 @@ from rclab.graphs import (
     nodes_bit,
 )
 from rclab import robustness
-from rclab.scenario import load_topology
+from rclab.scenario import corpus_path, load_topology
 from rclab.robustness import (
     Certificate,
     RobustnessQuery,
@@ -714,3 +714,25 @@ class TestBenchmarkCertificates:
             for name, (F, S, t) in FAILS_CERTIFICATES[seed].items()
         }
         assert got == want
+
+
+class TestSeveralIntervals:
+    """The period-6 corpus topologies take the net9 or net15 graphs twice, so
+    the interval partition alone decides the verdict."""
+
+    @pytest.mark.parametrize("name, base, rlf, certificate", [
+        ("net9_intervals_3_3", "net9", (2, 2, 1), None),
+        ("net9_intervals_2_2_2", "net9", (2, 2, 1), ((), (1, 2, 3, 6), 0)),
+        ("net15_intervals_2_2_2", "net15", (3, 3, 2), ((), (1, 2, 3, 4, 5, 6, 9, 10), 0)),
+    ])
+    def test_verdict_and_certificate_pinned(self, name, base, rlf, certificate):
+        schedule, leaders = load_topology(corpus_path(name))
+        base_schedule, base_leaders = load_topology(corpus_path(base))
+        assert (schedule.graphs, leaders) == (base_schedule.graphs * 2, base_leaders)
+        v = is_jointly_robust_following(RobustnessQuery(schedule, leaders, *rlf))
+        if certificate is None:
+            assert v.holds and v.certificate is None
+        else:
+            F, S, t = certificate
+            assert not v.holds
+            assert v.certificate == Certificate(frozenset(F), frozenset(S), t)

@@ -5,6 +5,7 @@ Each runs in a fresh interpreter with this checkout's ``src`` on the path.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -92,3 +93,30 @@ def test_bench_pairs_summary_on_synthetic_runs():
              for a in parent]
     rr = bp.summarize(close, {"run_ref": "lower"})["metrics"]["run_ref"]
     assert rr["change_wins"] == 10 and rr["clear_gain"] is False
+
+
+def test_bench_pairs_reads_the_wall_times_run_py_prints(capsys):
+    bp = load_bench_pairs()
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run_py = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_py)
+    names = [*run_py.END_TO_END, *run_py.WALL_CLOCK]
+    for workload in ("sim-deep", "check-fails"):
+        res = {"workload": workload, "seed": 0, "ops": ["a", "b"], "passes": 2,
+               "setup_samples": 12, "attempted": 4, "failed": 0, "failures": [],
+               "end_to_end": {name: 0.125 * (k + 1) for k, name in enumerate(names)},
+               "per_layer": None}
+        run_py._report(res)
+        got = bp.wall_clock(capsys.readouterr().out)
+        assert got == {name: {"value": res["end_to_end"][name], "unit": "s"}
+                       for name in ("run_s", "op_s.p50", "op_s.max")}, workload
+    better = bp.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    assert {name: better.pop(name) for name in bp.WALL_CLOCK} == dict.fromkeys(bp.WALL_CLOCK, "lower")
+    assert sorted(better) == sorted(run_py.END_TO_END)
+    pairs = [{"parent": {"correct": True, "attempted": 1, "failed": 0,
+                         "metrics": {"run_s": {"value": 1.0 + k, "unit": "s"}}},
+              "change": {"correct": True, "attempted": 1, "failed": 0,
+                         "metrics": {"run_s": {"value": 2.0 + k, "unit": "s"}}}}
+             for k in range(10)]
+    rs = bp.summarize(pairs, bp.directions({"end_to_end": []}))["metrics"]["run_s"]
+    assert rs["better"] == "lower" and rs["change_wins"] == 0 and rs["change_pct"] > 0
