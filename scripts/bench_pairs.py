@@ -20,7 +20,9 @@ speed falls on both sides alike. The output holds:
   BENCHMARK.json and the raw wall times ``run_s``, ``op_s.p50`` and
   ``op_s.max`` (lower is better, no bound), which ``perfbench/run.py``
   prints but leaves out of its JSON line; each run's ``metrics`` gains them.
-  They show when ``run_ref`` moves only because the probe it divides by did;
+  They show when ``run_ref`` moves only because the probe it divides by did.
+  So does ``probe_s``, the probe's own time, which gets each side's median,
+  quartiles and IQR only: a slower probe is neither better nor worse;
 * ``traced``: one ``--trace 1`` run per side for each ``--traced`` workload
   and seed, with the count of metrics reported as null;
 * ``gate``: one 1-second run per side, workload (all four) and gate seed:
@@ -49,6 +51,8 @@ RUN_TIMEOUT_S = 1800
 # perfbench/run.py's wall-clock forms of run_ref and op_ref.*, read from the
 # lines it prints.
 WALL_CLOCK = ("run_s", "op_s.p50", "op_s.max")
+# The median time of one probe around the operations, which run_ref divides by.
+PROBE = "probe_s"
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -70,12 +74,13 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 
 def wall_clock(stdout: str) -> dict:
-    """The ``WALL_CLOCK`` metrics of ``perfbench/run.py``'s printed lines
-    (``  NAME [(ALIAS)]  VALUE UNIT``), in the form of its JSON metrics."""
+    """The ``WALL_CLOCK`` metrics and ``PROBE`` of ``perfbench/run.py``'s
+    printed lines (``  NAME [(ALIAS)]  VALUE UNIT``), in the form of its JSON
+    metrics."""
     out = {}
     for line in stdout.splitlines():
         parts = line.split()
-        if parts and parts[0] in WALL_CLOCK:
+        if parts and parts[0] in (*WALL_CLOCK, PROBE):
             out[parts[0]] = {"value": float(parts[-2]), "unit": parts[-1]}
     return out
 
@@ -95,9 +100,28 @@ def _quartiles(values: list[float]) -> list[float]:
     return quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
 
+def _values(pairs: list[dict], name: str) -> list[tuple[float, float]]:
+    """(parent, change) values of metric ``name``, over the pairs that have both."""
+    both = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name))
+            for p in pairs]
+    return [(a["value"], b["value"]) for a, b in both
+            if a and b and a["value"] is not None and b["value"] is not None]
+
+
+def _levels(parent: list[float], change: list[float]) -> dict:
+    """Each side's quartiles and IQR, to 6 decimals (a probe takes about 2 ms)."""
+    pq1, pmed, pq3 = _quartiles(parent)
+    cq1, cmed, cq3 = _quartiles(change)
+    return {k: round(v, 6) for k, v in (
+        ("parent_median", pmed), ("parent_q1", pq1), ("parent_q3", pq3),
+        ("parent_iqr", pq3 - pq1), ("change_median", cmed), ("change_q1", cq1),
+        ("change_q3", cq3), ("change_iqr", cq3 - cq1))}
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per-metric statistics of ``pairs``, each ``{"parent": result,
-    "change": result}``; ``better`` maps each metric to "lower" or "higher"."""
+    "change": result}``; ``better`` maps each metric to "lower" or "higher".
+    ``PROBE``, if the runs report it, gets each side's levels only."""
     out = {
         "pairs": len(pairs),
         "all_correct": all(p[s]["correct"] for p in pairs for s in SIDES),
@@ -106,27 +130,24 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         "metrics": {},
     }
     for name, direction in better.items():
-        both = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name))
-                for p in pairs]
-        both = [(a["value"], b["value"]) for a, b in both
-                if a and b and a["value"] is not None and b["value"] is not None]
+        both = _values(pairs, name)
         if not both:
             continue
         parent, change = zip(*both)
         sign = 1 if direction == "lower" else -1
         pq1, pmed, pq3 = _quartiles(list(parent))
-        cq1, cmed, cq3 = _quartiles(list(change))
+        cmed = _quartiles(list(change))[1]
         wins = sum(sign * (b - a) < 0 for a, b in both)
         out["metrics"][name] = {
-            **{k: round(v, 4) for k, v in (
-                ("parent_median", pmed), ("parent_q1", pq1), ("parent_q3", pq3),
-                ("parent_iqr", pq3 - pq1), ("change_median", cmed), ("change_q1", cq1),
-                ("change_q3", cq3), ("change_iqr", cq3 - cq1))},
+            **_levels(list(parent), list(change)),
             "change_pct": round(100 * (cmed - pmed) / pmed, 2) if pmed else None,
             "change_wins": wins,
             "better": direction,
             "clear_gain": 10 * wins >= 9 * len(both) and sign * (pmed - cmed) > pq3 - pq1,
         }
+    probe = _values(pairs, PROBE)
+    if probe:
+        out[PROBE] = _levels(*map(list, zip(*probe)))
     return out
 
 

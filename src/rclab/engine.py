@@ -8,6 +8,7 @@ average, and the error envelopes are recorded.
 
 from __future__ import annotations
 
+import gc
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -248,7 +249,8 @@ def _initial_axis_state(scenario: Scenario, axis: int):
     return x, v
 
 
-def _envelope(states, nodes: frozenset[int]) -> tuple[float, float]:
+def _envelope(states, nodes) -> tuple[float, float]:
+    """(min, max) of ``states`` at the indices ``nodes``."""
     vals = list(map(states.__getitem__, nodes))
     return min(vals), max(vals)
 
@@ -260,6 +262,14 @@ def run_axis(scenario: Scenario, axis: int) -> Trace:
     secure mode the normal virtual leaders) adopt the reference each round;
     the other normal followers trim and average; adversaries follow their
     scripts.
+
+    The round loop runs with the cyclic garbage collector off. Each round
+    builds one tuple per delivered message, and they are still alive while
+    the next round's are built, so the collector would otherwise run every
+    few rounds and find nothing: the loop makes no reference cycles, and
+    plain reference counting frees every round. The collector is
+    process-wide, so it is turned back on after the loop, also when a round
+    raises, unless it was already off when the loop began.
     """
     second = scenario.second_order
     scripts = scenario.scripts
@@ -292,54 +302,60 @@ def run_axis(scenario: Scenario, axis: int) -> Trace:
     # V_hat spans rounds k-1 and k; at round 0 it spans round 0 alone.
     prev_lo, prev_hi = _envelope(x, metric_nodes)
 
-    for k in range(max_rounds + 1):
-        # Metrics on the state at round k.
-        lo, hi = _envelope(x, metric_nodes)
-        r_now = ref.value_at(k)
-        res = max((abs(x[i] - r_now) for i in normal_followers), default=0.0)
-        trace.x.append(x[1:])
-        trace.V.append(hi - lo)
-        if second:
-            trace.v.append(v[1:])
-            trace.V_hat.append(max(hi, prev_hi) - min(lo, prev_lo))
-            prev_lo, prev_hi = lo, hi
-            res = max(res, max((abs(v[i]) for i in normal_followers), default=0.0))
-        trace.residual.append(res)
-
-        # Counted within the last reference segment, as convergence_report does.
-        run_length = run_length + 1 if res <= scenario.tol and k >= last_piece_start else 0
-        if run_length >= scenario.window:
-            break
-        if k == max_rounds:
-            break
-
-        # Exchange over the round's graph.
-        g = trace.exchange.graph_at(k)
-        plan, routes = plans[g]
-        delivered = relay_round(g, x, scenario.l, k, scripts, plan)
-
-        # Anchored followers average nothing; they record their own value.
-        means = x.copy()
-        next_x = x.copy()
-        next_v = v.copy() if second else v  # first order neither reads nor records v
-        for i in trimming:
-            means[i] = mw_msr_update(mw_msr_trim(delivered[i], x[i], scenario.f, routes[i]), x[i])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for k in range(max_rounds + 1):
+            # Metrics on the state at round k.
+            lo, hi = _envelope(x, metric_nodes)
+            r_now = ref.value_at(k)
+            res = max((abs(x[i] - r_now) for i in normal_followers), default=0.0)
+            trace.x.append(x[1:])
+            trace.V.append(hi - lo)
             if second:
-                u = mdp_msr_control(means[i], x[i], v[i], scenario.params)
-                next_x[i], next_v[i] = second_order_step(x[i], v[i], u, scenario.params.T)
-            else:
-                next_x[i] = means[i]
-        trace.retained_mean.append(list(map(means.__getitem__, followers)))
+                trace.v.append(v[1:])
+                trace.V_hat.append(max(hi, prev_hi) - min(lo, prev_lo))
+                prev_lo, prev_hi = lo, hi
+                res = max(res, max((abs(v[i]) for i in normal_followers), default=0.0))
+            trace.residual.append(res)
 
-        for d in anchors:
-            next_x[d] = r_now
-        for a in adversaries:
-            next_x[a] = scripts[a].default.value(k + 1)
-        if second:
-            for d in at_rest:
-                next_v[d] = 0.0
+            # Counted within the last reference segment, as convergence_report does.
+            run_length = run_length + 1 if res <= scenario.tol and k >= last_piece_start else 0
+            if run_length >= scenario.window:
+                break
+            if k == max_rounds:
+                break
 
-        x, v = next_x, next_v
+            # Exchange over the round's graph.
+            g = trace.exchange.graph_at(k)
+            plan, routes = plans[g]
+            delivered = relay_round(g, x, scenario.l, k, scripts, plan)
+
+            # Anchored followers average nothing; they record their own value.
+            means = x.copy()
+            next_x = x.copy()
+            next_v = v.copy() if second else v  # first order neither reads nor records v
+            for i in trimming:
+                means[i] = mw_msr_update(mw_msr_trim(delivered[i], x[i], scenario.f, routes[i]), x[i])
+                if second:
+                    u = mdp_msr_control(means[i], x[i], v[i], scenario.params)
+                    next_x[i], next_v[i] = second_order_step(x[i], v[i], u, scenario.params.T)
+                else:
+                    next_x[i] = means[i]
+            trace.retained_mean.append(list(map(means.__getitem__, followers)))
+
+            for d in anchors:
+                next_x[d] = r_now
+            for a in adversaries:
+                next_x[a] = scripts[a].default.value(k + 1)
+            if second:
+                for d in at_rest:
+                    next_v[d] = 0.0
+
+            x, v = next_x, next_v
+    finally:
+        if enabled:
+            gc.enable()
 
     return trace
 
@@ -418,7 +434,8 @@ def convergence_report(trace: Trace) -> ConvergenceReport:
 def envelope_nesting_holds(trace: Trace) -> bool:
     """Within each constant-reference segment the normal-node envelope never
     widens (exact comparisons; the updates are convex combinations)."""
-    nodes = trace.normal_nodes
+    xs, n = trace.x.data, len(trace.x.keys)
+    offsets = [i - 1 for i in trace.normal_nodes]  # node i's offset in a row
     two_step = trace.second_order
     for seg_range, _ in trace.scenario.reference.segments(trace.rounds):
         # Leaders move to the new reference one round after a step change,
@@ -426,7 +443,7 @@ def envelope_nesting_holds(trace: Trace) -> bool:
         start = seg_range.start + 1 if seg_range.start > 0 else 0
         last = prev = None  # round k-1's envelope, and the nested one
         for k in range(start, seg_range.stop):
-            lo, hi = now = _envelope(trace.x[k], nodes)
+            lo, hi = now = _envelope(xs[k * n:(k + 1) * n], offsets)
             if two_step and last is not None:
                 lo, hi = min(lo, last[0]), max(hi, last[1])
             if prev is not None and (lo < prev[0] or hi > prev[1]):
@@ -462,18 +479,22 @@ def two_step_identity_deviation(trace: Trace) -> float:
     worst = 0.0
     if len(means) < 2:
         return worst
-    x_prev, x_k, m_prev = trace.x[0], trace.x[1], means[0]
+    xs, n = trace.x.data, len(trace.x.keys)
+    ms, w = means.data, len(means.keys)
+    # Follower j of a means row is node keys[j], at offset keys[j] - 1 of an x row.
+    pairs = [(j, i - 1) for j, i in enumerate(means.keys)]
+    x_prev, x_k, m_prev = xs[:n], xs[n:2 * n], ms[:w]
     for k in range(1, len(means)):
-        m_k, x_next = means[k], trace.x[k + 1]
-        for i in trace.normal_followers:
-            d_k = m_k[i] - x_k[i]
-            d_prev = m_prev[i] - x_prev[i]
+        m_k, x_next = ms[k * w:(k + 1) * w], xs[(k + 1) * n:(k + 2) * n]
+        for j, o in pairs:
+            d_k = m_k[j] - x_k[o]
+            d_prev = m_prev[j] - x_prev[o]
             predicted = (
-                (2 - T * beta) * x_k[i]
+                (2 - T * beta) * x_k[o]
                 + (T**2 / 2) * (d_k + d_prev)
-                - (1 - T * beta) * x_prev[i]
+                - (1 - T * beta) * x_prev[o]
             )
-            worst = max(worst, abs(x_next[i] - predicted))
+            worst = max(worst, abs(x_next[o] - predicted))
         x_prev, x_k, m_prev = x_k, x_next, m_k
     return worst
 

@@ -119,6 +119,7 @@ def all_paths_into(g: DiGraph, dst: int, l: int) -> list[Path]:
                 back([prev] + suffix)
 
     back([dst])
+    del back  # back refers to itself: drop the cycle, so no collector is needed
     return [Path(p) for p in sorted(found)]
 
 

@@ -99,6 +99,7 @@ def _max_disjoint_paths(path_masks: list[int], target: int) -> int:
                     return
 
     search(0, 0, 0)
+    del search  # search refers to itself: drop the cycle, so no collector is needed
     return best
 
 
@@ -129,6 +130,7 @@ def _walk_path_masks(g: DiGraph, dst: int, l: int, relays_inside_s: bool) -> set
                     back(prev, grown, hops + 1)
 
     back(dst, 0, 1)
+    del back  # back refers to itself: drop the cycle, so no collector is needed
     return out
 
 

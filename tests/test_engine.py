@@ -7,9 +7,12 @@ from collections import Counter
 
 import pytest
 
+from rclab import engine
 from rclab.adversary import AttackScript, Waveform, necessity_attack, validate_f_local
+from rclab.agents import AgentError
 from rclab.engine import (
     EngineError,
+    _paths_for,
     Trace,
     contraction_oracle,
     convergence_report,
@@ -18,9 +21,18 @@ from rclab.engine import (
     run_axis,
     write_trace_csv,
 )
-from rclab.graphs import DiGraph, TopologySchedule
-from rclab.robustness import RobustnessQuery, is_jointly_robust_following
-from rclab.scenario import ALGORITHMS, ControlParams, ReferenceFunction, Scenario
+from rclab.graphs import DiGraph, TopologySchedule, union_graph
+from rclab.robustness import RobustnessQuery, is_jointly_robust_following, necessary_conditions
+from rclab.scenario import (
+    ALGORITHMS,
+    ControlParams,
+    ReferenceFunction,
+    Scenario,
+    corpus_names,
+    corpus_path,
+    load_topology,
+    parse_scenario,
+)
 
 from conftest import random_digraph, scenario as corpus_scenario
 from oracles import reference_run, walk_relay_round
@@ -527,6 +539,80 @@ class TestTraceStorage:
         assert len(trace.x) == len(trace.V) == len(trace.residual) == trace.rounds > 1
         assert len(trace.v) == len(trace.V_hat) == second
         assert len(trace.retained_mean) == trace.rounds - 1
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state after a test that sets it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def verify_topologies_queries():
+    """Every query that ``scripts/verify_topologies.py`` checks; its static
+    union-graph queries as one-graph schedules."""
+    topo = {name: load_topology(corpus_path(name)) for name in (
+        "net9", "net9_aug", "net15", "net9_intervals_3_3", "net9_intervals_2_2_2",
+        "net15_intervals_2_2_2")}
+    reduced, virtual = corpus_scenario("secure_leader").secure_reduced()
+    union = TopologySchedule.static(union_graph(topo["net9_aug"][0]))
+    leaders9 = topo["net9"][1]
+    return [RobustnessQuery(sched, leaders, r, l, f) for sched, leaders, (r, l, f) in (
+        (*topo["net9"], (2, 1, 1)), (*topo["net9"], (2, 2, 1)), (*topo["net9_aug"], (2, 1, 1)),
+        (union, leaders9, (3, 1, 0)), (union, leaders9, (2, 1, 1)),
+        (*topo["net15"], (3, 1, 2)), (*topo["net15"], (3, 3, 2)),
+        (*topo["net9_intervals_3_3"], (2, 2, 1)), (*topo["net9_intervals_2_2_2"], (2, 2, 1)),
+        (*topo["net15_intervals_2_2_2"], (3, 3, 2)), (reduced, virtual, (2, 1, 1)),
+    )]
+
+
+class TestCollector:
+    """The round loop runs with the cyclic garbage collector off, which is
+    safe only while neither the simulator nor the checker makes reference
+    cycles."""
+
+    def test_runs_leave_no_cyclic_garbage(self, collector, tmp_path):
+        scenarios = [corpus_scenario(name) for name in corpus_names()
+                     if not name.startswith("net")]
+        queries = verify_topologies_queries()
+        _paths_for.cache_clear()  # so every path walk runs again
+        gc.disable()
+        gc.collect()  # what loading made
+        for sc in scenarios:
+            run(sc, tmp_path / sc.name)
+        for q in queries:
+            is_jointly_robust_following(q)
+            necessary_conditions(q)
+        assert gc.collect() == 0
+
+    def test_run_axis_leaves_the_collector_as_it_found_it(self, collector):
+        sc = make_scenario()
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            run_axis(sc, 0)
+            assert gc.isenabled() is enabled
+
+    def test_run_axis_turns_the_collector_back_on_after_a_raise(self, collector):
+        sc = parse_scenario({"topology": "net7_secure", "algorithm": "mw-msr", "f": 0, "l": 1,
+                             "reference": 1.0, "init": {i: 1.7e308 for i in range(2, 8)}},
+                            "overflow")
+        gc.enable()
+        with pytest.raises(AgentError, match="retained values overflow their sum"):
+            run_axis(sc, 0)
+        assert gc.isenabled()
+
+    def test_the_collector_is_off_inside_the_loop(self, collector, monkeypatch):
+        seen, original = [], engine.relay_round
+
+        def relay_round(*args):
+            seen.append(gc.isenabled())
+            return original(*args)
+
+        monkeypatch.setattr(engine, "relay_round", relay_round)
+        gc.enable()
+        trace = run_axis(make_scenario(), 0)
+        assert seen == [False] * (trace.rounds - 1) and gc.isenabled()
 
 
 class TestDeliveryScope:

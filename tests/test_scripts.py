@@ -109,7 +109,7 @@ def test_bench_pairs_reads_the_wall_times_run_py_prints(capsys):
         run_py._report(res)
         got = bp.wall_clock(capsys.readouterr().out)
         assert got == {name: {"value": res["end_to_end"][name], "unit": "s"}
-                       for name in ("run_s", "op_s.p50", "op_s.max")}, workload
+                       for name in ("run_s", "op_s.p50", "op_s.max", "probe_s")}, workload
     better = bp.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
     assert {name: better.pop(name) for name in bp.WALL_CLOCK} == dict.fromkeys(bp.WALL_CLOCK, "lower")
     assert sorted(better) == sorted(run_py.END_TO_END)
@@ -120,3 +120,12 @@ def test_bench_pairs_reads_the_wall_times_run_py_prints(capsys):
              for k in range(10)]
     rs = bp.summarize(pairs, bp.directions({"end_to_end": []}))["metrics"]["run_s"]
     assert rs["better"] == "lower" and rs["change_wins"] == 0 and rs["change_pct"] > 0
+    # The probe gets each side's levels, and no winner: it is neither better nor worse.
+    for k, p in enumerate(pairs):
+        p["parent"]["metrics"]["probe_s"] = {"value": 0.004 * (k + 1), "unit": "s"}
+        p["change"]["metrics"]["probe_s"] = {"value": 0.008 * (k + 1), "unit": "s"}
+    out = bp.summarize(pairs, bp.directions({"end_to_end": []}))
+    assert "probe_s" not in out["metrics"]
+    assert out["probe_s"] == {"parent_median": 0.022, "parent_q1": 0.013, "parent_q3": 0.031,
+                              "parent_iqr": 0.018, "change_median": 0.044, "change_q1": 0.026,
+                              "change_q3": 0.062, "change_iqr": 0.036}
