@@ -23,7 +23,9 @@ from .scenario import corpus_names, load_scenario, load_topology, resolve_file
 class _Group(click.Group):
     """A command group whose usage errors (a bad or missing option, an
     unknown command) exit 1, invalid input: click's own code for them, 2,
-    means a robustness violation here. Subcommands parse inside ``invoke``."""
+    means a robustness violation here. Subcommands parse and run inside
+    ``invoke``, so it also reports any command's ``ValueError`` or
+    ``OSError`` as ``error: ...`` and exits 1."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -38,6 +40,9 @@ class _Group(click.Group):
         except click.UsageError as e:
             e.exit_code = 1
             raise
+        except (ValueError, OSError) as e:
+            click.echo(f"error: {e}", err=True)
+            sys.exit(1)
 
 
 @click.group(cls=_Group)
@@ -53,20 +58,15 @@ def main():
 @click.option("--strict-relays", is_flag=True, help="Require relay nodes outside S.")
 def cli_check_robustness(topology, r_param, l_param, f_param, strict_relays):
     """Exactly verify the jointly r-robust following property."""
-    try:
-        schedule, leaders = load_topology(resolve_file(topology))
-        query = RobustnessQuery(
-            schedule,
-            leaders,
-            r=r_param,
-            l=l_param,
-            f=f_param,
-            relays_inside_s=not strict_relays,
-        )
-    except (ValueError, OSError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
-
+    schedule, leaders = load_topology(resolve_file(topology))
+    query = RobustnessQuery(
+        schedule,
+        leaders,
+        r=r_param,
+        l=l_param,
+        f=f_param,
+        relays_inside_s=not strict_relays,
+    )
     for name, ok in necessary_conditions(query):
         click.echo(f"necessary-condition {name}: {'pass' if ok else 'FAIL'}")
     verdict = is_jointly_robust_following(query)
@@ -96,15 +96,10 @@ def cli_simulate(scenario_ref, out_dir, max_rounds, summary):
     """Run a scenario and report convergence."""
     from .engine import run  # the checker's commands need no simulator
 
-    try:
-        scenario = load_scenario(resolve_file(scenario_ref))
-        if max_rounds is not None:
-            scenario = dataclasses.replace(scenario, max_rounds=max_rounds)
-        result = run(scenario, out_dir)
-    except (ValueError, OSError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
-
+    scenario = load_scenario(resolve_file(scenario_ref))
+    if max_rounds is not None:
+        scenario = dataclasses.replace(scenario, max_rounds=max_rounds)
+    result = run(scenario, out_dir)
     if not summary:
         click.echo(f"scenario: {scenario.name}  fingerprint: {scenario.fingerprint()}")
         # A trace records the initial state and the state after each round.
@@ -130,11 +125,7 @@ def cli_simulate(scenario_ref, out_dir, max_rounds, summary):
 @click.option("--scenario", "scenario_ref", required=True, help="Scenario file or corpus name.")
 def cli_validate(scenario_ref):
     """Run all scenario cross-validations without simulating."""
-    try:
-        scenario = load_scenario(resolve_file(scenario_ref))
-    except (ValueError, OSError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+    scenario = load_scenario(resolve_file(scenario_ref))
     errors = scenario.validation_errors()
     if errors:
         for msg in errors:

@@ -160,19 +160,16 @@ class _LogRows(NamedTuple):
 
     ``plan`` covers every node. ``heads`` holds each row's ``src,dst,path,``
     head, by destination id and then delivery order, and ``rows`` each row's
-    index into the distinct (plan slot, source) keys. Per key, ``slots``
-    holds its slot and ``flags`` its ``,tampered`` line end: 1 for an
-    adversary source, else 0. ``live`` lists, as (key, slot, source), the
-    keys of a "same" relay's rewrite of an honest source's value, whose flag
-    is 1 in a round where the value is unequal (``!=``) to the source's.
+    index into ``keys``, the distinct (plan slot, source) pairs: a row's
+    value is its slot's and its tampered flag is 1 if its source is an
+    adversary or that value is unequal (``!=``) to the source's own, so
+    both depend on its key alone.
     """
 
     plan: RelayPlan
     heads: tuple[str, ...]
     rows: tuple[int, ...]
-    slots: tuple[int, ...]
-    flags: tuple[str, ...]
-    live: tuple[tuple[int, int, int], ...]
+    keys: tuple[tuple[int, int], ...]
 
 
 def _log_rows(paths, scripts) -> _LogRows:
@@ -183,12 +180,7 @@ def _log_rows(paths, scripts) -> _LogRows:
             nodes = p.nodes
             heads.append(f"{nodes[0]},{i},{'-'.join(map(str, nodes))},")
             rows.append(keys.setdefault((s, nodes[0]), len(keys)))
-    # An honest slot carries its source's own value, so its flag is 0.
-    honest = len(plan.sources)
-    live = tuple((key, s, src) for key, (s, src) in enumerate(keys)
-                 if s >= honest and src not in scripts)
-    flags = tuple(",1\r\n" if src in scripts else ",0\r\n" for _, src in keys)
-    return _LogRows(plan, tuple(heads), tuple(rows), tuple(s for s, _ in keys), flags, live)
+    return _LogRows(plan, tuple(heads), tuple(rows), tuple(keys))
 
 
 class _MessageLog:
@@ -199,9 +191,10 @@ class _MessageLog:
     quoting. They are written from a plan over every node (``_LogRows``),
     one per exchange graph: each round reads the plan's value table, reprs
     each emission once, takes each honest source's repr from the round's
-    trace rows and writes the round in one call. The table evaluates the
-    round's emissions a second time, which ``AttackScript.emit``, pure by
-    contract, allows.
+    trace rows and writes the round in one call. A row is tampered (1) if
+    its source is an adversary or its value is unequal (``!=``) to the
+    source's own. The table evaluates the round's emissions a second time,
+    which ``AttackScript.emit``, pure by contract, allows.
     """
 
     def __init__(self, fh, trace: Trace):
@@ -215,15 +208,12 @@ class _MessageLog:
     def record(self, k, senders, reprs):
         """Round k's rows; ``reprs[j]`` is ``repr(senders[j])``."""
         log_rows = self.log_rows[self.exchange.graph_at(k)]
-        if not log_rows.heads:
-            return
-        plan = log_rows.plan
-        table = slot_values(plan, senders, k, self.scripts)
+        plan, scripts = log_rows.plan, self.scripts
+        table = slot_values(plan, senders, k, scripts)
         values = list(map(reprs.__getitem__, plan.sources))
         values += map(repr, islice(table, len(values), None))
-        tails = list(map(str.__add__, map(values.__getitem__, log_rows.slots), log_rows.flags))
-        for key, s, src in log_rows.live:
-            tails[key] = values[s] + (",1\r\n" if table[s] != senders[src] else ",0\r\n")
+        tails = [values[s] + (",1\r\n" if src in scripts or table[s] != senders[src] else ",0\r\n")
+                 for s, src in log_rows.keys]
         rows = zip(repeat(f"{k},"), log_rows.heads, map(tails.__getitem__, log_rows.rows))
         self.fh.write("".join(chain.from_iterable(rows)))
 
