@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .graphs import TopologySchedule, in_neighbors_l
@@ -84,14 +85,13 @@ class AttackScript:
                 raise AdversaryError("receiver groups must be disjoint")
             seen |= members
 
-    def _waveform_for(self, receiver: int) -> Waveform:
-        for members, wf in self.groups:
-            if receiver in members:
-                return wf
-        return self.default
+    @cached_property
+    def _waveforms(self) -> dict[int, Waveform]:
+        """Receiver -> its group's waveform, built once per script."""
+        return {r: wf for members, wf in self.groups for r in members}
 
     def emit(self, k: int, receiver: int) -> float:
-        return self._waveform_for(receiver).value(k)
+        return self._waveforms.get(receiver, self.default).value(k)
 
     def relay(self, value: float, k: int, receiver: int) -> float:
         if self.relay_mode == "identity":

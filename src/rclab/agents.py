@@ -48,8 +48,9 @@ class TrimRoute(NamedTuple):
 
 
 def trim_route(slots: Sequence[int], paths: Sequence[Path]) -> TrimRoute:
-    """The route of a destination whose paths have these plan slots (one
-    entry of ``RelayPlan.routes``), with an empty memo."""
+    """The route of a destination whose paths have these plan slots (its
+    span of ``RelayPlan.slots`` and ``RelayPlan.paths``), with an empty
+    memo."""
     groups: dict[int, list[int]] = {}
     for j, s in enumerate(slots):
         groups.setdefault(s, []).append(j)

@@ -12,7 +12,8 @@ import gc
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import chain, islice, repeat
+from itertools import islice
+from operator import add
 from pathlib import Path as FsPath
 from typing import NamedTuple
 
@@ -158,12 +159,12 @@ class _LogRows(NamedTuple):
     """A message log's rows over one exchange graph, built before its first
     round.
 
-    ``plan`` covers every node. ``heads`` holds each row's ``src,dst,path,``
-    head, by destination id and then delivery order, and ``rows`` each row's
-    index into ``keys``, the distinct (plan slot, source) pairs: a row's
-    value is its slot's and its tampered flag is 1 if its source is an
-    adversary or that value is unequal (``!=``) to the source's own, so
-    both depend on its key alone.
+    ``plan`` covers every node, in id order. ``heads`` holds each row's
+    ``src,dst,path,`` head, in plan order, and ``rows`` each row's index
+    into ``keys``, the distinct (plan slot, source) pairs: a row's value is
+    its slot's and its tampered flag is 1 if its source is an adversary or
+    that value is unequal (``!=``) to the source's own, so both depend on
+    its key alone.
     """
 
     plan: RelayPlan
@@ -173,13 +174,12 @@ class _LogRows(NamedTuple):
 
 
 def _log_rows(paths, scripts) -> _LogRows:
-    plan = relay_plan(paths, scripts)
+    plan = relay_plan({i: paths[i] for i in sorted(paths)}, scripts)
     heads, rows, keys = [], [], {}
-    for i in sorted(paths):
-        for s, p in zip(*plan.routes[i]):
-            nodes = p.nodes
-            heads.append(f"{nodes[0]},{i},{'-'.join(map(str, nodes))},")
-            rows.append(keys.setdefault((s, nodes[0]), len(keys)))
+    for s, p in zip(plan.slots, plan.paths):
+        nodes = p.nodes
+        heads.append(f"{nodes[0]},{nodes[-1]},{'-'.join(map(str, nodes))},")
+        rows.append(keys.setdefault((s, nodes[0]), len(keys)))
     return _LogRows(plan, tuple(heads), tuple(rows), tuple(keys))
 
 
@@ -214,8 +214,9 @@ class _MessageLog:
         values += map(repr, islice(table, len(values), None))
         tails = [values[s] + (",1\r\n" if src in scripts or table[s] != senders[src] else ",0\r\n")
                  for s, src in log_rows.keys]
-        rows = zip(repeat(f"{k},"), log_rows.heads, map(tails.__getitem__, log_rows.rows))
-        self.fh.write("".join(chain.from_iterable(rows)))
+        # Each row is the prefix, its head and its tail; no rows write "".
+        rows = map(add, log_rows.heads, map(tails.__getitem__, log_rows.rows))
+        self.fh.write(f"{k},".join(["", *rows]))
 
 
 def _initial_axis_state(scenario: Scenario, axis: int):
@@ -277,7 +278,8 @@ def run_axis(scenario: Scenario, axis: int) -> Trace:
     for g in dict.fromkeys(trace.exchange.graphs):
         paths = _paths_for(g, scenario.l)
         plan = relay_plan({i: paths[i] for i in trimming}, scripts)
-        plans[g] = plan, {i: trim_route(*plan.routes[i]) for i in trimming}
+        plans[g] = plan, {i: trim_route(plan.slots[a:b], plan.paths[a:b])
+                          for i, (a, b) in plan.spans.items()}
     # Second order: anchors and adversaries are at rest after every round.
     at_rest = tuple(anchors | adversaries)
 

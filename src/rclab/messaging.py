@@ -9,8 +9,8 @@ the value but the path is authentic and immutable.
 
 from __future__ import annotations
 
-import itertools
 import math
+from itertools import filterfalse, repeat
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .graphs import DiGraph, Path, all_paths_into
@@ -41,12 +41,16 @@ class RelayPlan(NamedTuple):
     source's own.
     ``sources`` are the honest origins and ``emissions`` the distinct
     (adversary, receiver) origins; slot s indexes ``sources + emissions``.
-    ``routes`` maps each destination to its paths and their slots.
+    ``slots`` and ``paths`` hold every planned path and its slot,
+    destination by destination, and ``spans[i]`` is destination i's
+    (start, stop) in them.
     """
 
     sources: tuple[int, ...]
     emissions: tuple[tuple[int, int], ...]
-    routes: dict[int, tuple[tuple[int, ...], tuple[Path, ...]]]
+    slots: tuple[int, ...]
+    paths: tuple[Path, ...]
+    spans: dict[int, tuple[int, int]]
 
 
 def _origin(nodes: tuple[int, ...], hooks: Mapping[int, AttackScript]) -> int | tuple[int, int]:
@@ -64,14 +68,17 @@ def relay_plan(
     """The value origin of every path in ``paths`` (destination -> paths),
     whose order it keeps. Adversarial sources always rewrite; adversarial
     relays rewrite when their ``relay_mode`` is "same"."""
-    origins = {i: [_origin(p.nodes, hooks) for p in ps] for i, ps in paths.items()}
-    seen = dict.fromkeys(o for found in origins.values() for o in found)
+    flat = tuple(p for ps in paths.values() for p in ps)
+    origins = [_origin(p.nodes, hooks) for p in flat]
+    seen = dict.fromkeys(origins)
     sources = tuple(o for o in seen if not isinstance(o, tuple))
     emissions = tuple(o for o in seen if isinstance(o, tuple))
     slot = {o: s for s, o in enumerate(sources + emissions)}
-    routes = {i: (tuple(map(slot.__getitem__, found)), tuple(paths[i]))
-              for i, found in origins.items()}
-    return RelayPlan(sources, emissions, routes)
+    spans, start = {}, 0
+    for i, ps in paths.items():
+        spans[i] = start, start + len(ps)
+        start += len(ps)
+    return RelayPlan(sources, emissions, tuple(map(slot.__getitem__, origins)), flat, spans)
 
 
 def slot_values(
@@ -83,7 +90,7 @@ def slot_values(
     covers every path that carries it."""
     table = [senders[j] for j in plan.sources]
     table += [hooks[a].emit(k, r) for a, r in plan.emissions]
-    for bad in itertools.filterfalse(math.isfinite, table):
+    for bad in filterfalse(math.isfinite, table):
         raise MessageError(f"non-finite message value {bad}")
     return table
 
@@ -115,11 +122,12 @@ def relay_round(
     if plan is None:
         plan = relay_plan({i: all_paths_into(g, i, l) for i in g.nodes}, hooks)
     value = slot_values(plan, senders, k, hooks).__getitem__
-    new = tuple.__new__
+    # Every message of the round in one pass, then each destination's slice.
     # Through a list: a tuple grown from a bare map is resized as it fills,
     # and the cast-off sizes linger in the tuple free lists.
-    return {i: tuple(list(map(new, itertools.repeat(Message), zip(map(value, slots), ps))))
-            for i, (slots, ps) in plan.routes.items()}
+    new = tuple.__new__
+    msgs = tuple(list(map(new, repeat(Message), zip(map(value, plan.slots), plan.paths))))
+    return {i: msgs[a:b] for i, (a, b) in plan.spans.items()}
 
 
 def _hit_prefix(masks: Sequence[int], k: int, chosen: int = 0, start: int = 0) -> tuple[int, int]:

@@ -414,6 +414,9 @@ class Scenario:
         for i in sorted(ids):
             if not (1 <= i <= n):
                 errors.append(f"node id {i} outside 1..{n}")
+        for i, script in sorted(self.scripts.items()):
+            if script.node != i:
+                errors.append(f"the script of node {i} names node {script.node}")
         need = self.followers - self.adversaries
         if self.algorithm == "mw-msr-secure":
             need = need - self.secure_virtual_leaders()

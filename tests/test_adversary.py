@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 
 import pytest
 
@@ -83,6 +85,63 @@ class TestAttackScript:
                     (frozenset({3, 4}), Waveform.constant(2.0)),
                 ),
             )
+
+
+def random_waveform(rng):
+    kind = rng.choice(("square", "sinusoid", "constant"))
+    return Waveform(rng.uniform(-5, 5), rng.uniform(0.1, 2), rng.randint(1, 5), kind)
+
+
+def random_groups(rng, n):
+    """0-3 disjoint receiver groups over 1..n, some maybe empty, each with
+    its own waveform."""
+    receivers = list(range(1, n + 1))
+    rng.shuffle(receivers)
+    groups = []
+    for _ in range(rng.randint(0, 3)):
+        take = rng.randint(0, len(receivers))
+        groups.append((frozenset(receivers[:take]), random_waveform(rng)))
+        del receivers[:take]
+    return tuple(groups)
+
+
+def defined_emit(script, k, receiver):
+    """The waveform of the group holding the receiver, else the default."""
+    for members, wf in script.groups:
+        if receiver in members:
+            return wf.value(k)
+    return script.default.value(k)
+
+
+class TestEmit:
+    def test_matches_definition_on_random_scripts(self):
+        rng = random.Random(41)
+        grouped = defaulted = 0
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            s = AttackScript(rng.randint(1, n), random_waveform(rng), random_groups(rng, n))
+            for r in range(1, n + 1):
+                in_group = any(r in members for members, _ in s.groups)
+                grouped += in_group
+                defaulted += not in_group
+                for k in range(6):
+                    assert s.emit(k, r) == defined_emit(s, k, r), (s, k, r)
+        assert grouped > 0 and defaulted > 0
+
+    def test_replaced_groups_apply(self):
+        rng = random.Random(43)
+        changed = 0
+        for _ in range(100):
+            n = rng.randint(1, 9)
+            s = AttackScript(1, random_waveform(rng), random_groups(rng, n))
+            before = [s.emit(k, r) for r in range(1, n + 1) for k in range(4)]
+            t = dataclasses.replace(s, groups=random_groups(rng, n))
+            after = [t.emit(k, r) for r in range(1, n + 1) for k in range(4)]
+            assert after == [defined_emit(t, k, r) for r in range(1, n + 1) for k in range(4)]
+            # The original keeps its own groups.
+            assert [s.emit(k, r) for r in range(1, n + 1) for k in range(4)] == before
+            changed += after != before
+        assert changed > 0
 
 
 class TestValidateFLocal:

@@ -224,13 +224,15 @@ class TestTrim:
                        for a in rng.sample(nodes, rng.randint(0, 2))}
             leaders = set(rng.sample(nodes, 2))
             plan = relay_plan({i: all_paths_into(g, i, l) for i in nodes}, scripts)
-            routes = {i: trim_route(*plan.routes[i]) for i in nodes}
+            routes = {i: trim_route(plan.slots[a:b], plan.paths[a:b])
+                      for i, (a, b) in plan.spans.items()}
             for _ in range(12):
                 ref = rng.choice(LEVELS)
                 table = [ref if o in leaders else rng.choice(LEVELS)
                          for o in plan.sources + plan.emissions]
-                for i, (slots, paths) in plan.routes.items():
-                    ms = tuple(Message(table[s], p) for s, p in zip(slots, paths))
+                for i, (a, b) in plan.spans.items():
+                    ms = tuple(Message(table[s], p)
+                               for s, p in zip(plan.slots[a:b], plan.paths[a:b]))
                     own = rng.choice(LEVELS)
                     assert_same_objects(mw_msr_trim(ms, own, f, routes[i]),
                                         reference_trim(ms, own, f), ms)

@@ -28,6 +28,7 @@ from rclab.scenario import (
     ControlParams,
     ReferenceFunction,
     Scenario,
+    ScenarioError,
     corpus_names,
     corpus_path,
     load_topology,
@@ -78,6 +79,14 @@ class TestRun:
     def test_validation_failures_abort(self):
         bad = make_scenario(tol=-1.0)
         with pytest.raises(Exception):
+            run(bad)
+
+    def test_script_must_name_its_own_node(self):
+        # Node 4 would run the script that names node 2.
+        bad = make_scenario(f=1, scripts={4: AttackScript(2, Waveform.constant(0.0))})
+        with pytest.raises(ScenarioError, match="script of node 4 names node 2"):
+            bad.validate()
+        with pytest.raises(ScenarioError, match="script of node 4 names node 2"):
             run(bad)
 
     def test_isolated_follower_keeps_state(self):
@@ -328,7 +337,8 @@ class TestTraceOutput:
         trace = run(make_scenario()).traces[0]
         out = tmp_path / "trace.csv"
         write_trace_csv(trace, out, tmp_path / "messages.csv")
-        rows = list(csv.reader(open(out)))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["round", "node", "role", "x", "V", "V_hat"]
         assert len(rows) == 1 + trace.rounds * trace.scenario.schedule.n
         roles = {r[2] for r in rows[1:]}
@@ -343,7 +353,8 @@ class TestTraceOutput:
     def test_messages_csv_flags_tampering(self, tmp_path):
         sc = self_attack = TestAdversarialRun().scenario()
         run(sc, tmp_path)
-        rows = list(csv.reader(open(tmp_path / "test_axis0_messages.csv")))
+        with open(tmp_path / "test_axis0_messages.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         header, body = rows[0], rows[1:]
         src_idx = header.index("src")
         tam_idx = header.index("tampered")

@@ -212,6 +212,46 @@ class TestRelayRound:
                     assert {i: [(m.path.nodes, m.value) for m in ms]
                             for i, ms in got.items()} == want, (name, k)
 
+    def test_plan_for_shuffled_subset_matches_per_hop_walk(self):
+        # A plan for some destinations, in any order, delivers to exactly
+        # those, in that order, what the walk delivers to each.
+        rng = random.Random(31)
+        for _ in range(150):
+            n = rng.randint(3, 8)
+            g = random_digraph(rng, n)
+            l, k = rng.randint(1, 3), rng.randint(0, 5)
+            senders = {i: rng.uniform(-10, 10) for i in g.nodes}
+            adversaries = rng.sample(list(g.nodes), rng.randint(0, max(1, n // 2)))
+            hooks = {a: random_script(rng, a, n, senders[a]) for a in adversaries}
+            dests = rng.sample(list(g.nodes), rng.randint(0, n))
+            plan = relay_plan({i: all_paths_into(g, i, l) for i in dests}, hooks)
+            want = walk_relay_round(g, senders, l, k, hooks)
+            got = relay_round(g, senders, l, k, hooks, plan)
+            assert list(got) == dests
+            for i in dests:
+                assert [(m.path.nodes, m.value) for m in got[i]] == want[i]
+
+    def test_spans_partition_the_flat_arrays(self):
+        # In plan order, each span starts where the one before stops, holds
+        # its destination's paths, and the last stops at the end.
+        rng = random.Random(37)
+        for _ in range(100):
+            n = rng.randint(3, 8)
+            g = random_digraph(rng, n)
+            l = rng.randint(1, 3)
+            hooks = {a: random_script(rng, a, n, 0.0) for a in rng.sample(list(g.nodes), 1)}
+            dests = rng.sample(list(g.nodes), rng.randint(0, n))
+            paths = {i: all_paths_into(g, i, l) for i in dests}
+            plan = relay_plan(paths, hooks)
+            assert list(plan.spans) == dests
+            assert len(plan.slots) == len(plan.paths)
+            stop = 0
+            for i, (a, b) in plan.spans.items():
+                assert a == stop
+                assert plan.paths[a:b] == tuple(paths[i])
+                stop = b
+            assert stop == len(plan.paths)
+
     def test_one_emit_per_origin_and_no_relay(self):
         rng = random.Random(7)
         shared = 0
