@@ -53,7 +53,7 @@ class Waveform:
 
 @dataclass(frozen=True)
 class AttackScript:
-    """Per-node adversary behavior.
+    """One adversary's behavior; its node is its key in ``Scenario.scripts``.
 
     ``groups`` maps receiver groups to emission waveforms; receivers not in
     any group get ``default``. A Byzantine node may differentiate receivers;
@@ -66,7 +66,6 @@ class AttackScript:
     on every path whose value the node rewrites last.
     """
 
-    node: int
     default: Waveform
     groups: tuple[tuple[frozenset[int], Waveform], ...] = ()
     model: str = "byzantine"  # byzantine | malicious
@@ -101,8 +100,11 @@ class AttackScript:
 
 @dataclass(frozen=True)
 class LocalityReport:
-    f_local: bool
     witness: tuple[int, int] | None = None  # (node, round) violating f-local
+
+    @property
+    def f_local(self) -> bool:
+        return self.witness is None
 
 
 def validate_f_local(
@@ -122,7 +124,7 @@ def validate_f_local(
                 break
         if witness:
             break
-    return LocalityReport(witness is None, witness)
+    return LocalityReport(witness)
 
 
 def necessity_attack(
@@ -143,7 +145,6 @@ def necessity_attack(
     s_members = frozenset(cert.S)
     scripts = {
         j: AttackScript(
-            node=j,
             default=Waveform.constant(reference_value),
             groups=((s_members, Waveform.constant(stall_value)),),
         )

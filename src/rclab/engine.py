@@ -116,23 +116,25 @@ class SegmentReport:
     start: int
     end: int  # exclusive
     value: float
-    converged: bool
     round_of_convergence: int | None
     residual: float  # at segment end
+
+    @property
+    def converged(self) -> bool:
+        return self.round_of_convergence is not None
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    converged: bool
     round_of_convergence: int | None
     residual: float
     velocity_residual: float | None
     classification: str  # converged | stalled | budget-exhausted
     segments: tuple[SegmentReport, ...] = ()
 
-    def __post_init__(self):
-        if self.converged and self.round_of_convergence is None:
-            raise EngineError("converged report requires a round")
+    @property
+    def converged(self) -> bool:
+        return self.round_of_convergence is not None
 
 
 @dataclass(frozen=True)
@@ -249,10 +251,9 @@ def _envelope(states, nodes) -> tuple[float, float]:
 def run_axis(scenario: Scenario, axis: int) -> Trace:
     """Simulate one axis until it converges or reaches ``max_rounds``.
 
-    Node roles are fixed before the loop. Anchors (the normal leaders, and in
-    secure mode the normal virtual leaders) adopt the reference each round;
-    the other normal followers trim and average; adversaries follow their
-    scripts.
+    Node roles are fixed before the loop. The anchors (``Scenario.anchors``)
+    adopt the reference each round; the other normal followers trim and
+    average; adversaries follow their scripts.
 
     The round loop runs with the cyclic garbage collector off. Each round
     builds one tuple per delivered message, and they are still alive while
@@ -267,9 +268,7 @@ def run_axis(scenario: Scenario, axis: int) -> Trace:
     adversaries = scenario.adversaries
     normal_followers = scenario.normal_followers
     ref = scenario.reference
-    anchors = scenario.normal_leaders
-    if scenario.algorithm == "mw-msr-secure":
-        anchors |= scenario.secure_virtual_leaders() & normal_followers
+    anchors = scenario.anchors
     trace = Trace(scenario)
     trimming = normal_followers - anchors
     # Only the trimming followers receive: one plan per exchange graph, and
@@ -384,12 +383,8 @@ def convergence_report(trace: Trace) -> ConvergenceReport:
             run_len = run_len + 1 if trace.residual[k] <= tol else 0
             if run_len >= window and conv_round is None:
                 conv_round = k - window + 1
-        segments.append(
-            SegmentReport(
-                seg_range.start, seg_range.stop, value,
-                conv_round is not None, conv_round, trace.residual[seg_range.stop - 1],
-            )
-        )
+        segments.append(SegmentReport(seg_range.start, seg_range.stop, value, conv_round,
+                                      trace.residual[seg_range.stop - 1]))
 
     last = segments[-1]
     # A run that ends before the last reference step has not tracked it.
@@ -410,7 +405,6 @@ def convergence_report(trace: Trace) -> ConvergenceReport:
             plateau = abs(v_now - v_then) <= 1e-12 * max(abs(v_then), 1.0)
         classification = "stalled" if plateau else "budget-exhausted"
     return ConvergenceReport(
-        converged=converged,
         round_of_convergence=last.round_of_convergence if converged else None,
         residual=final_res,
         velocity_residual=vel,

@@ -281,8 +281,7 @@ def _parse_waveform(spec: dict, what: str, extra: tuple[str, ...] = ()) -> Wavef
     )
 
 
-def _parse_script(spec: dict) -> AttackScript:
-    node = _int(spec["node"])
+def _parse_script(node: int, spec: dict) -> AttackScript:
     what = f"adversary {node}"
     _require(spec, what, ("emit",), ("node", "model", "relay"))
     emit = spec["emit"]
@@ -299,7 +298,6 @@ def _parse_script(spec: dict) -> AttackScript:
         for grp in _list(emit.get("groups", []))
     )
     return AttackScript(
-        node=node,
         default=default,
         groups=groups,
         model=str(spec.get("model", AttackScript.model)),
@@ -356,7 +354,11 @@ class Scenario:
         return self.followers - self.adversaries
 
     @property
-    def normal_leaders(self) -> frozenset[int]:
+    def anchors(self) -> frozenset[int]:
+        """Normal nodes that adopt the reference each round: the leaders and,
+        in secure mode, the virtual leaders."""
+        if self.algorithm == "mw-msr-secure":
+            return (self.leaders | self.secure_virtual_leaders()) - self.adversaries
         return self.leaders - self.adversaries
 
     def secure_virtual_leaders(self) -> frozenset[int]:
@@ -409,23 +411,19 @@ class Scenario:
             errors.append(f"non-finite values in {', '.join(bad)}")
         if not self.leaders:
             errors.append("at least one leader required")
-        ids = set(self.init) | set(self.delta) | set(self.scripts)
+        ids = set(self.init) | set(self.delta) | set(self.scripts) | self.leaders
         ids.update(r for s in self.scripts.values() for members, _ in s.groups for r in members)
         for i in sorted(ids):
             if not (1 <= i <= n):
                 errors.append(f"node id {i} outside 1..{n}")
-        for i, script in sorted(self.scripts.items()):
-            if script.node != i:
-                errors.append(f"the script of node {i} names node {script.node}")
-        need = self.followers - self.adversaries
-        if self.algorithm == "mw-msr-secure":
-            need = need - self.secure_virtual_leaders()
-        missing = sorted(i for i in need if i not in self.init)
+        missing = sorted(self.normal_followers - self.anchors - set(self.init))
         if missing:
             errors.append(f"missing initial values for followers {missing}")
         if self.second_order and self.params is None:
             errors.append("second-order scenario requires T and beta")
         for i, per_axis in self.init.items():
+            if len(per_axis) != self.axes:
+                errors.append(f"init for node {i} has {len(per_axis)} axes, need {self.axes}")
             if not self.second_order and any(len(vals) != 1 for vals in per_axis):
                 errors.append(f"first-order init for node {i} must be a scalar")
             elif any(len(vals) not in (1, 2) for vals in per_axis):
@@ -534,10 +532,10 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
     with _field("adversaries"):
         raw = data.get("adversaries")
         for spec in _list([] if raw is None else raw):
-            script = _parse_script(spec)
-            if script.node in scripts:
-                raise ScenarioError(f"duplicate adversary entry for node {script.node}")
-            scripts[script.node] = script
+            node = _int(spec["node"])
+            if node in scripts:
+                raise ScenarioError(f"duplicate adversary entry for node {node}")
+            scripts[node] = _parse_script(node, spec)
 
     return Scenario(
         name=name,

@@ -43,7 +43,6 @@ class TestWaveform:
 class TestAttackScript:
     def script(self):
         return AttackScript(
-            node=8,
             default=Waveform.constant(1.0),
             groups=((frozenset({1, 2, 3}), Waveform.constant(3.5)),),
         )
@@ -58,27 +57,25 @@ class TestAttackScript:
         assert s.relay(77.0, 5, 1) == s.emit(5, 1)
 
     def test_relay_identity_passes_through(self):
-        s = AttackScript(8, Waveform.constant(1.0), relay_mode="identity")
+        s = AttackScript(Waveform.constant(1.0), relay_mode="identity")
         assert s.relay(77.0, 5, 1) == 77.0
 
     def test_malicious_forbids_groups(self):
         with pytest.raises(AdversaryError):
             AttackScript(
-                1,
                 Waveform.constant(0.0),
                 groups=((frozenset({2}), Waveform.constant(1.0)),),
                 model="malicious",
             )
 
     def test_malicious_is_receiver_independent(self):
-        s = AttackScript(1, Waveform(2.0, 0.3, 2, "square"), model="malicious")
+        s = AttackScript(Waveform(2.0, 0.3, 2, "square"), model="malicious")
         for k in range(6):
             assert len({s.emit(k, r) for r in range(2, 10)}) == 1
 
     def test_groups_must_be_disjoint(self):
         with pytest.raises(AdversaryError):
             AttackScript(
-                1,
                 Waveform.constant(0.0),
                 groups=(
                     (frozenset({2, 3}), Waveform.constant(1.0)),
@@ -119,7 +116,7 @@ class TestEmit:
         grouped = defaulted = 0
         for _ in range(200):
             n = rng.randint(1, 9)
-            s = AttackScript(rng.randint(1, n), random_waveform(rng), random_groups(rng, n))
+            s = AttackScript(random_waveform(rng), random_groups(rng, n))
             for r in range(1, n + 1):
                 in_group = any(r in members for members, _ in s.groups)
                 grouped += in_group
@@ -133,7 +130,7 @@ class TestEmit:
         changed = 0
         for _ in range(100):
             n = rng.randint(1, 9)
-            s = AttackScript(1, random_waveform(rng), random_groups(rng, n))
+            s = AttackScript(random_waveform(rng), random_groups(rng, n))
             before = [s.emit(k, r) for r in range(1, n + 1) for k in range(4)]
             t = dataclasses.replace(s, groups=random_groups(rng, n))
             after = [t.emit(k, r) for r in range(1, n + 1) for k in range(4)]

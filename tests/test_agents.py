@@ -219,8 +219,8 @@ class TestTrim:
             g = random_digraph(rng, n, rng.uniform(0.3, 0.6))
             l, f = rng.randint(1, 3), rng.randint(0, 3)
             nodes = range(1, n + 1)
-            scripts = {a: AttackScript(a, Waveform.constant(0.0),
-                                       relay_mode=rng.choice(("same", "identity")))
+            scripts = {a: AttackScript(Waveform.constant(0.0),
+                                    relay_mode=rng.choice(("same", "identity")))
                        for a in rng.sample(nodes, rng.randint(0, 2))}
             leaders = set(rng.sample(nodes, 2))
             plan = relay_plan({i: all_paths_into(g, i, l) for i in nodes}, scripts)

@@ -19,6 +19,7 @@ from rclab.engine import (
     envelope_nesting_holds,
     run,
     run_axis,
+    two_step_identity_deviation,
     write_trace_csv,
 )
 from rclab.graphs import DiGraph, TopologySchedule, union_graph
@@ -81,12 +82,19 @@ class TestRun:
         with pytest.raises(Exception):
             run(bad)
 
-    def test_script_must_name_its_own_node(self):
-        # Node 4 would run the script that names node 2.
-        bad = make_scenario(f=1, scripts={4: AttackScript(2, Waveform.constant(0.0))})
-        with pytest.raises(ScenarioError, match="script of node 4 names node 2"):
+    @pytest.mark.parametrize("kw, error", [
+        (dict(axes=2), "init for node 2 has 1 axes, need 2"),
+        (dict(init={2: ((3.0,),), 3: ((5.0,), (1.0,)), 4: ((2.0,),)}),
+         "init for node 3 has 2 axes, need 1"),
+        (dict(leaders=frozenset({1, 99})), "node id 99 outside 1..4"),
+    ], ids=["fewer-axes", "more-axes", "leader-id"])
+    def test_invalid_scenario_is_reported_before_the_run(self, kw, error):
+        # Unchecked, each reaches the loop: an init with too few axes and a
+        # leader id past n raise IndexError there, and an extra axis is ignored.
+        bad = make_scenario(**kw)
+        with pytest.raises(ScenarioError, match=error):
             bad.validate()
-        with pytest.raises(ScenarioError, match="script of node 4 names node 2"):
+        with pytest.raises(ScenarioError, match=error):
             run(bad)
 
     def test_isolated_follower_keeps_state(self):
@@ -166,6 +174,11 @@ class TestSecondOrderRun:
         assert envelope_nesting_holds(trace)
         assert contraction_oracle(trace)
 
+    def test_two_step_identity_needs_second_order(self):
+        assert two_step_identity_deviation(run(second_order_scenario()).traces[0]) <= 1e-10
+        with pytest.raises(EngineError, match="applies to second-order traces"):
+            two_step_identity_deviation(run(make_scenario()).traces[0])
+
 
 class TestContractionOracle:
     @pytest.mark.parametrize("name", ["fig4a_1hop", "fig7a_1hop_second_order"])
@@ -241,7 +254,7 @@ class TestConvergenceReport:
             schedule=TopologySchedule.static(g),
             f=1,
             init={},
-            scripts={2: AttackScript(2, Waveform(3.0))},
+            scripts={2: AttackScript(Waveform(3.0))},
         )
         report = run(sc).reports[0]
         assert report.classification == "converged"
@@ -315,7 +328,7 @@ class TestAdversarialRun:
             f=1,
             init={4: ((3.0,),)},
             scripts={
-                5: AttackScript(5, Waveform(4.0, 0.3, 2, "square"))
+                5: AttackScript(Waveform(4.0, 0.3, 2, "square"))
             },
             tol=1e-7,
             max_rounds=400,
@@ -479,9 +492,9 @@ class TestMessageLogValues:
         equal = float(repr(sender))
         assert equal == sender and equal is not sender
         scripts = {
-            6: AttackScript(6, Waveform.constant(-0.0)),  # equal to 1's 0.0, but signed
-            7: AttackScript(7, Waveform.constant(equal)),  # equal value, another float object
-            4: AttackScript(4, Waveform.constant(2.5)),
+            6: AttackScript(Waveform.constant(-0.0)),  # equal to 1's 0.0, but signed
+            7: AttackScript(Waveform.constant(equal)),  # equal value, another float object
+            4: AttackScript(Waveform.constant(2.5)),
         }
         g = DiGraph.from_edges(7, [(1, 6), (6, 5), (3, 7), (7, 5), (4, 2), (2, 5)])
         sc = make_scenario(schedule=TopologySchedule.static(g), l=2, scripts=scripts)
@@ -656,7 +669,7 @@ def random_script(rng, node, n):
     cuts = sorted(rng.sample(range(len(receivers) + 1), 2))
     groups = tuple((frozenset(receivers[a:b]), wave())
                    for a, b in ((0, cuts[0]), (cuts[0], cuts[1])) if a < b and rng.random() < 0.6)
-    return AttackScript(node, wave(), groups, relay_mode=rng.choice(["same", "identity"]))
+    return AttackScript(wave(), groups, relay_mode=rng.choice(["same", "identity"]))
 
 
 def random_scenario(rng):

@@ -124,6 +124,16 @@ class TestPaths:
                 assert (a, b) in g.edges
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: TopologySchedule((), ()), "at least one graph"),
+    (lambda: chain(3).in_neighbors(0), "invalid node id 0"),
+    (lambda: chain(3).in_neighbors(4), "invalid node id 4"),
+], ids=["empty-schedule", "node-0", "node-past-n"])
+def test_rejects_bad_input(call, error):
+    with pytest.raises(GraphError, match=error):
+        call()
+
+
 class TestTopologySchedule:
     def test_intervals_must_cover(self):
         g = chain(3)

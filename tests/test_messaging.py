@@ -46,7 +46,7 @@ def random_script(rng, node, n, honest):
     honest emitter that corrupts only what it relays."""
     kind = rng.choice(["groups", "identity", "relay-only"])
     if kind == "relay-only":
-        return AttackScript(node, Waveform.constant(honest), relay_mode="same")
+        return AttackScript(Waveform.constant(honest), relay_mode="same")
     receivers = [i for i in range(1, n + 1) if i != node]
     rng.shuffle(receivers)
     cut = rng.randint(0, len(receivers))
@@ -55,7 +55,7 @@ def random_script(rng, node, n, honest):
         (frozenset(receivers[cut:]), Waveform(rng.uniform(-5, 5), 0.5, 3)),
     )
     mode = "identity" if kind == "identity" else "same"
-    return AttackScript(node, Waveform(100.0 + node), groups, relay_mode=mode)
+    return AttackScript(Waveform(100.0 + node), groups, relay_mode=mode)
 
 
 def last_rewriter(nodes, scripts):
@@ -70,18 +70,18 @@ def last_rewriter(nodes, scripts):
 
 
 class CallLog:
-    """Delegates to a script and logs each call made to it, in order."""
+    """Delegates to node ``node``'s script and logs each call made to it, in order."""
 
-    def __init__(self, hook, calls):
-        self.hook, self.calls = hook, calls
+    def __init__(self, node, hook, calls):
+        self.node, self.hook, self.calls = node, hook, calls
         self.relay_mode = hook.relay_mode
 
     def emit(self, k, receiver):
-        self.calls.append(("emit", self.hook.node, k, receiver))
+        self.calls.append(("emit", self.node, k, receiver))
         return self.hook.emit(k, receiver)
 
     def relay(self, value, k, receiver):
-        self.calls.append(("relay", self.hook.node, value, k, receiver))
+        self.calls.append(("relay", self.node, value, k, receiver))
         return self.hook.relay(value, k, receiver)
 
 
@@ -126,15 +126,15 @@ class TestRelayRound:
 
     def test_adversarial_relay_corrupts_value_not_path(self):
         g = DiGraph.from_edges(4, [(1, 2), (2, 3), (2, 4)])
-        hooks = {2: AttackScript(2, Waveform.constant(99.0),
-                                 ((frozenset({4}), Waveform.constant(-1.0)),))}
+        hooks = {2: AttackScript(Waveform.constant(99.0),
+                              ((frozenset({4}), Waveform.constant(-1.0)),))}
         out = relay_round(g, {1: 10.0, 2: 20.0, 3: 0.0, 4: 0.0}, l=2, hooks=hooks)
         assert {m.path.nodes: m.value for m in out[3]} == {(2, 3): 99.0, (1, 2, 3): 99.0}
         assert {m.path.nodes: m.value for m in out[4]} == {(2, 4): -1.0, (1, 2, 4): -1.0}
 
     def test_adversarial_source_uses_emit(self):
         g = DiGraph.from_edges(2, [(1, 2)])
-        hooks = {1: AttackScript(1, Waveform.constant(7.0), relay_mode="identity")}
+        hooks = {1: AttackScript(Waveform.constant(7.0), relay_mode="identity")}
         out = relay_round(g, {1: 0.0, 2: 0.0}, l=1, hooks=hooks)
         assert [m.value for m in out[2]] == [7.0]
 
@@ -144,11 +144,11 @@ class TestRelayRound:
         # destination for 2's receiver, delivers another value.
         g = DiGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
         hooks = {
-            2: AttackScript(2, Waveform.constant(22.0),
-                            ((frozenset({3}), Waveform.constant(21.0)),)),
-            3: AttackScript(3, Waveform.constant(32.0),
-                            ((frozenset({4}), Waveform.constant(31.0)),),
-                            relay_mode="identity"),
+            2: AttackScript(Waveform.constant(22.0),
+                         ((frozenset({3}), Waveform.constant(21.0)),)),
+            3: AttackScript(Waveform.constant(32.0),
+                         ((frozenset({4}), Waveform.constant(31.0)),),
+                         relay_mode="identity"),
         }
         out = relay_round(g, {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}, l=3, hooks=hooks)
         by_path = {m.path.nodes: m.value for m in out[4]}
@@ -159,10 +159,10 @@ class TestRelayRound:
         # replaces 1's emission to 2.
         g = DiGraph.from_edges(3, [(1, 2), (2, 3)])
         hooks = {
-            1: AttackScript(1, Waveform.constant(12.0),
-                            ((frozenset({2}), Waveform.constant(11.0)),)),
-            2: AttackScript(2, Waveform.constant(22.0),
-                            ((frozenset({3}), Waveform.constant(21.0)),)),
+            1: AttackScript(Waveform.constant(12.0),
+                         ((frozenset({2}), Waveform.constant(11.0)),)),
+            2: AttackScript(Waveform.constant(22.0),
+                         ((frozenset({3}), Waveform.constant(21.0)),)),
         }
         out = relay_round(g, {1: 1.0, 2: 2.0, 3: 3.0}, l=2, hooks=hooks)
         assert {m.path.nodes: m.value for m in out[3]} == {(1, 2, 3): 21.0, (2, 3): 21.0}
@@ -173,8 +173,8 @@ class TestRelayRound:
         g = random_digraph(random.Random(rng.randint(0, 10**9)), n)
         senders = {i: float(i) for i in g.nodes}
         clean = relay_round(g, senders, l)
-        hooks = {1: AttackScript(1, Waveform.constant(123.0),
-                                 ((frozenset({2}), Waveform.constant(321.0)),))}
+        hooks = {1: AttackScript(Waveform.constant(123.0),
+                              ((frozenset({2}), Waveform.constant(321.0)),))}
         hooked = relay_round(g, senders, l, hooks=hooks)
         for i in g.nodes:
             assert [m.path for m in clean[i]] == [m.path for m in hooked[i]]
@@ -263,7 +263,7 @@ class TestRelayRound:
             adversaries = rng.sample(list(g.nodes), rng.randint(1, max(1, n // 2)))
             scripts = {a: random_script(rng, a, n, senders[a]) for a in adversaries}
             calls = []
-            relay_round(g, senders, l, k, {a: CallLog(s, calls) for a, s in scripts.items()})
+            relay_round(g, senders, l, k, {a: CallLog(a, s, calls) for a, s in scripts.items()})
             origins = [last_rewriter(p.nodes, scripts)
                        for i in g.nodes for p in all_paths_into(g, i, l)]
             want = {o for o in origins if o is not None}
@@ -275,7 +275,7 @@ class TestRelayRound:
         # 0.0 == -0.0, yet an identity relay must deliver each one unchanged.
         g = DiGraph.from_edges(4, [(1, 3), (2, 3), (3, 4)])
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-            hook = AttackScript(3, Waveform.constant(5.0), relay_mode="identity")
+            hook = AttackScript(Waveform.constant(5.0), relay_mode="identity")
             senders = {1: first, 2: second, 3: 0.0, 4: 0.0}
             out = relay_round(g, senders, l=2, hooks={3: hook})
             signs = {m.path.nodes: math.copysign(1.0, m.value) for m in out[4]}

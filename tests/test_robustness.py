@@ -152,6 +152,19 @@ def count_f_sets(monkeypatch):
     return drawn
 
 
+@pytest.mark.parametrize("kw, error", [
+    (dict(r=0), "r must be >= 1"),
+    (dict(l=0), "l must be >= 1"),
+    (dict(f=-1), "f must be >= 0"),
+    (dict(leaders=frozenset({1, 4})), r"leader ids \[4\] outside node range"),
+])
+def test_query_rejects_bad_argument(kw, error):
+    args = dict(schedule=TopologySchedule.static(DiGraph.from_edges(3, [(1, 2), (2, 3)])),
+                leaders=frozenset({1}), r=1, l=1, f=0) | kw
+    with pytest.raises(GraphError, match=error):
+        RobustnessQuery(**args)
+
+
 class TestIndependentPaths:
     def test_requires_membership(self):
         g = DiGraph.from_edges(3, [(1, 2)])

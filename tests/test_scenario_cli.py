@@ -242,6 +242,31 @@ class TestValidation:
         assert sc.secure_virtual_leaders() == frozenset({2, 3, 4})
         assert not sc.validation_errors()
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda sc: dataclasses.replace(sc, algorithm="median").validate(),
+         "unknown algorithm 'median'"),
+        (lambda sc: dataclasses.replace(sc, axes=3).validate(), "axes must be 1 or 2, got 3"),
+        (lambda sc: dataclasses.replace(sc, window=0).validate(),
+         "window and max_rounds must be >= 1"),
+        (lambda sc: dataclasses.replace(sc, max_rounds=0).validate(),
+         "window and max_rounds must be >= 1"),
+        (lambda sc: dataclasses.replace(sc, algorithm="mdp-msr").validate(),
+         "second-order scenario requires T and beta"),
+        (lambda sc: ReferenceFunction(()), "at least one piece"),
+        (lambda sc: ReferenceFunction(((0, 1.0), (5, float("nan")))), "must be finite"),
+        (lambda sc: sc.reference.value_at(-1), "round index must be >= 0, got -1"),
+        (lambda sc: parse_topology({
+            "n": 3, "leaders": [1], "graphs": {"g": {"edges": [[1, 2]]}},
+            "schedule": ["g"], "intervals": [2],
+        }), "intervals must exactly cover the schedule"),
+    ], ids=["algorithm", "axes", "window", "max-rounds", "gains", "no-pieces",
+            "non-finite-piece", "negative-round", "intervals"])
+    def test_check_rejects_bad_value(self, call, error):
+        sc = load_scenario(corpus_path("fig4a_1hop"))
+        assert not sc.validation_errors()
+        with pytest.raises(ScenarioError, match=error):
+            call(sc)
+
     def test_vector_init_rejected_for_first_order(self, workspace):
         sc = self.load(
             workspace,
@@ -398,8 +423,10 @@ class TestCli:
           "Invalid value for '--max-rounds'"),
          (("check-robustness", "--topology", "net9", "--l", "1", "--f", "1"),
           "Missing option '--r'"),
-         (("simulat",), "No such command 'simulat'")],
-        ids=["simulate-bad-int", "check-robustness-missing-r", "unknown-command"],
+         (("simulat",), "No such command 'simulat'"),
+         (("--bogus",), "No such option '--bogus'")],
+        ids=["simulate-bad-int", "check-robustness-missing-r", "unknown-command",
+             "unknown-group-option"],
     )
     def test_usage_error_exits_1(self, args, message):
         # Exit 2 means a robustness violation, so a typo must not exit 2.
@@ -425,6 +452,13 @@ class TestCli:
         res = self.invoke("simulate", "--scenario", "fig4a_1hop", "--max-rounds", "5")
         assert res.exit_code == 3
         assert "rounds simulated: 5\n" in res.output
+
+    def test_simulate_two_axes_reports_velocity_per_axis(self):
+        res = self.invoke("simulate", "--scenario", "fig7b_2hop_second_order",
+                          "--max-rounds", "5")
+        assert res.exit_code == 3
+        assert "axis 0: velocity residual: " in res.output
+        assert "axis 1: velocity residual: " in res.output
 
     def test_simulate_cut_before_last_step_exit_3(self):
         # fig5_staircase steps to 3.0 at round 400, which 260 rounds never reach.
