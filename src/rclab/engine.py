@@ -202,14 +202,16 @@ class _MessageLog:
     def __init__(self, fh, trace: Trace):
         self.fh = fh
         self.scripts = trace.scenario.scripts
-        self.exchange = trace.exchange
-        self.log_rows = {g: _log_rows(_paths_for(g, trace.scenario.l), self.scripts)
-                         for g in dict.fromkeys(self.exchange.graphs)}
+        graphs = trace.exchange.graphs
+        by_graph = {g: _log_rows(_paths_for(g, trace.scenario.l), self.scripts)
+                    for g in dict.fromkeys(graphs)}
+        # Round k reads position k % period of the exchange schedule.
+        self.phases = [by_graph[g] for g in graphs]
         fh.write("round,src,dst,path,value,tampered\r\n")
 
     def record(self, k, senders, reprs):
         """Round k's rows; ``reprs[j]`` is ``repr(senders[j])``."""
-        log_rows = self.log_rows[self.exchange.graph_at(k)]
+        log_rows = self.phases[k % len(self.phases)]
         plan, scripts = log_rows.plan, self.scripts
         table = slot_values(plan, senders, k, scripts)
         values = list(map(reprs.__getitem__, plan.sources))
@@ -265,27 +267,33 @@ def run_axis(scenario: Scenario, axis: int) -> Trace:
     """
     second = scenario.second_order
     scripts = scenario.scripts
-    adversaries = scenario.adversaries
-    normal_followers = scenario.normal_followers
-    ref = scenario.reference
     anchors = scenario.anchors
+    f, l, params = scenario.f, scenario.l, scenario.params
+    tol, window = scenario.tol, scenario.window
+    ref = scenario.reference
     trace = Trace(scenario)
-    trimming = normal_followers - anchors
+    trimming = scenario.normal_followers - anchors
     # Only the trimming followers receive: one plan per exchange graph, and
     # one trim route per (graph, trimming follower), built before round 0.
-    plans = {}
+    # Round k reads position k % period of the exchange schedule.
+    tables = {}
     for g in dict.fromkeys(trace.exchange.graphs):
-        paths = _paths_for(g, scenario.l)
+        paths = _paths_for(g, l)
         plan = relay_plan({i: paths[i] for i in trimming}, scripts)
-        plans[g] = plan, {i: trim_route(plan.slots[a:b], plan.paths[a:b])
-                          for i, (a, b) in plan.spans.items()}
+        tables[g] = g, plan, {i: trim_route(plan.slots[a:b], plan.paths[a:b])
+                              for i, (a, b) in plan.spans.items()}
+    phases = [tables[g] for g in trace.exchange.graphs]
+    period = len(phases)
+    scripted = [(a, scripts[a].default.value) for a in scripts]
     # Second order: anchors and adversaries are at rest after every round.
-    at_rest = tuple(anchors | adversaries)
+    at_rest = tuple(anchors | scenario.adversaries)
 
     # State lists are indexed by node; each round's values are copied into
     # the trace's arrays.
     x, v = _initial_axis_state(scenario, axis)
-    metric_nodes = trace.normal_nodes
+    # The frozenset's own order, so that a tie of 0.0 and -0.0 resolves as
+    # it always has.
+    metric_nodes = tuple(trace.normal_nodes)
     followers = trace.retained_mean.keys
     max_rounds = scenario.max_rounds
     last_piece_start = ref.pieces[-1][0]
@@ -297,48 +305,50 @@ def run_axis(scenario: Scenario, axis: int) -> Trace:
     gc.disable()
     try:
         for k in range(max_rounds + 1):
-            # Metrics on the state at round k.
+            # Metrics on the state at round k. The largest |x_i - r| is
+            # max(x) - r or r - min(x), bit for bit, since rounding is
+            # monotone and fl(r - b) = -fl(b - r); abs makes a zero +0.0.
             lo, hi = _envelope(x, metric_nodes)
             r_now = ref.value_at(k)
-            res = max((abs(x[i] - r_now) for i in normal_followers), default=0.0)
+            fx = list(map(x.__getitem__, followers)) or [r_now]
+            res = abs(max(max(fx) - r_now, r_now - min(fx)))
             trace.x.append(x[1:])
             trace.V.append(hi - lo)
             if second:
                 trace.v.append(v[1:])
                 trace.V_hat.append(max(hi, prev_hi) - min(lo, prev_lo))
                 prev_lo, prev_hi = lo, hi
-                res = max(res, max((abs(v[i]) for i in normal_followers), default=0.0))
+                res = max(res, max(map(abs, map(v.__getitem__, followers)), default=0.0))
             trace.residual.append(res)
 
             # Counted within the last reference segment, as convergence_report does.
-            run_length = run_length + 1 if res <= scenario.tol and k >= last_piece_start else 0
-            if run_length >= scenario.window:
+            run_length = run_length + 1 if res <= tol and k >= last_piece_start else 0
+            if run_length >= window:
                 break
             if k == max_rounds:
                 break
 
             # Exchange over the round's graph.
-            g = trace.exchange.graph_at(k)
-            plan, routes = plans[g]
-            delivered = relay_round(g, x, scenario.l, k, scripts, plan)
+            g, plan, routes = phases[k % period]
+            delivered = relay_round(g, x, l, k, scripts, plan)
 
             # Anchored followers average nothing; they record their own value.
             means = x.copy()
             next_x = x.copy()
             next_v = v.copy() if second else v  # first order neither reads nor records v
             for i in trimming:
-                means[i] = mw_msr_update(mw_msr_trim(delivered[i], x[i], scenario.f, routes[i]), x[i])
+                means[i] = mw_msr_update(mw_msr_trim(delivered[i], x[i], f, routes[i]), x[i])
                 if second:
-                    u = mdp_msr_control(means[i], x[i], v[i], scenario.params)
-                    next_x[i], next_v[i] = second_order_step(x[i], v[i], u, scenario.params.T)
+                    u = mdp_msr_control(means[i], x[i], v[i], params)
+                    next_x[i], next_v[i] = second_order_step(x[i], v[i], u, params.T)
                 else:
                     next_x[i] = means[i]
             trace.retained_mean.append(list(map(means.__getitem__, followers)))
 
             for d in anchors:
                 next_x[d] = r_now
-            for a in adversaries:
-                next_x[a] = scripts[a].default.value(k + 1)
+            for a, value in scripted:
+                next_x[a] = value(k + 1)
             if second:
                 for d in at_rest:
                     next_v[d] = 0.0

@@ -88,7 +88,7 @@ def slot_values(
     value, then each (adversary, receiver) emission, evaluated once. Each
     slot is some path's origin, so this one finiteness check per value
     covers every path that carries it."""
-    table = [senders[j] for j in plan.sources]
+    table = list(map(senders.__getitem__, plan.sources))
     table += [hooks[a].emit(k, r) for a, r in plan.emissions]
     for bad in filterfalse(math.isfinite, table):
         raise MessageError(f"non-finite message value {bad}")

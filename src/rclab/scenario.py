@@ -305,6 +305,11 @@ def _parse_script(node: int, spec: dict) -> AttackScript:
     )
 
 
+def _axes_error(axes: int) -> str | None:
+    """Why ``axes`` is not a valid axis count, or None if it is."""
+    return None if axes in (1, 2) else f"axes must be 1 or 2, got {axes}"
+
+
 def _parse_axis_values(raw, axes: int, what: str) -> tuple[tuple[float, ...], ...]:
     """Normalize per-node init/offset entries to one tuple per axis."""
     if axes == 1:
@@ -388,8 +393,8 @@ class Scenario:
             errors.append(f"unknown algorithm {self.algorithm!r}")
         if self.f < 0 or self.l < 1:
             errors.append(f"need f >= 0 and l >= 1, got f={self.f} l={self.l}")
-        if self.axes not in (1, 2):
-            errors.append(f"axes must be 1 or 2, got {self.axes}")
+        if axes_error := _axes_error(self.axes):
+            errors.append(axes_error)
         if not 0 < self.tol < math.inf:
             errors.append(f"tolerance must be positive and finite, got {self.tol}")
         if self.window < 1 or self.max_rounds < 1:
@@ -501,6 +506,8 @@ def parse_scenario(data: dict, name: str, base: FsPath | None = None) -> Scenari
         raise ScenarioError(f"unknown algorithm {algorithm!r}")
     f_param, l_param = _scalar(data, "f", _int), _scalar(data, "l", _int)
     axes = _scalar(data, "axes", _int, Scenario.axes)
+    if axes_error := _axes_error(axes):  # init and delta are read per axis
+        raise ScenarioError(axes_error)
 
     with _field("reference"):
         ref_raw = data["reference"]

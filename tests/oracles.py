@@ -151,3 +151,24 @@ def reference_run(scenario, axis, rounds):
             vs.append(v)
         means.append(mean)
     return xs, vs, means
+
+
+def reference_metrics(scenario, xs, vs):
+    """(V, V_hat, residual) of each round of ``reference_run``'s states, by
+    definition. V is the spread of the normal nodes' x, and V_hat (second
+    order only) its spread over rounds k - 1 and k, over round 0 alone at
+    round 0. The residual is the largest |x_i - r| over the normal
+    followers, and in a second-order run also the largest |v_i|; it is 0.0
+    when there are none."""
+    normal = [i for i in range(1, scenario.schedule.n + 1) if i not in scenario.scripts]
+    followers = [i for i in normal if i not in scenario.leaders]
+    V, V_hat, residual = [], [], []
+    for k, x in enumerate(xs):
+        V.append(max(x[i] for i in normal) - min(x[i] for i in normal))
+        if vs:
+            both = [xs[j][i] for j in (max(k - 1, 0), k) for i in normal]
+            V_hat.append(max(both) - min(both))
+        r = scenario.reference.value_at(k)
+        dev = [abs(x[i] - r) for i in followers] + [abs(vs[k][i]) for i in followers if vs]
+        residual.append(max(dev, default=0.0))
+    return V, V_hat, residual

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -37,7 +38,7 @@ from rclab.scenario import (
 )
 
 from conftest import random_digraph, scenario as corpus_scenario
-from oracles import reference_run, walk_relay_round
+from oracles import reference_metrics, reference_run, walk_relay_round
 
 
 def complete_graph(n):
@@ -142,6 +143,14 @@ class TestMetrics:
             lo = min(min(trace.x[k][i], trace.x[k - 1][i]) for i in trace.normal_nodes)
             hi = max(max(trace.x[k][i], trace.x[k - 1][i]) for i in trace.normal_nodes)
             assert trace.V_hat[k] == hi - lo
+
+    def test_residual_of_signed_zeros_is_positive_zero(self):
+        # Every follower holds -0.0 and the reference is 0.0: max(x) - r is
+        # -0.0, while each |x_i - r| is +0.0.
+        sc = make_scenario(reference=ReferenceFunction.constant(0.0),
+                           init={i: ((-0.0,),) for i in (2, 3, 4)})
+        trace = run_axis(sc, 0)
+        assert math.copysign(1.0, trace.residual[0]) == 1.0
 
 
 def second_order_scenario(**kw):
@@ -749,6 +758,14 @@ class TestReferenceRun:
             seen.update("groups" for s in sc.scripts.values() if s.groups)
         assert len(seen) == 14 and min(seen.values()) >= 3, seen
 
+    def test_metric_series_match_their_definitions(self):
+        # V, V_hat and the residual, recomputed from the reference states.
+        for sc in random_runs():
+            trace = run_axis(sc, 0)
+            x, v, _ = reference_run(sc, 0, sc.max_rounds)
+            for name, want in zip(("V", "V_hat", "residual"), reference_metrics(sc, x, v)):
+                assert list(map(repr, getattr(trace, name))) == list(map(repr, want)), name
+
     def test_message_log_matches_reference_log(self, tmp_path):
         # Both CSVs of each run against the csv.writer references, the
         # message log fed by walk_relay_round, byte for byte. Every edge is a
@@ -765,6 +782,56 @@ class TestReferenceRun:
             seen.update(s.relay_mode for s in sc.scripts.values())
             seen.update("groups" for s in sc.scripts.values() if s.groups)
         assert min(seen[key] for key in ("same", "identity", "groups")) >= 3, seen
+
+
+def assert_matches_reference(sc, tmp_path):
+    """One axis of ``sc`` against ``reference_run``, and both of its CSVs
+    against the reference writers; returns the trace."""
+    sc.validate()
+    trace = run_axis(sc, 0)
+    x, v, means = reference_run(sc, 0, trace.rounds - 1)
+    for name, got, want in (("x", trace.x, x), ("v", trace.v, v),
+                            ("retained_mean", trace.retained_mean, means)):
+        assert reprs(got) == reprs(want), name
+    assert_writers_match_reference(trace, tmp_path)
+    return trace
+
+
+class TestRepeatedGraphSchedules:
+    """Schedules that take a graph again at a position not next to its
+    first: each round must read its position's plan and routes, and the
+    message log its position's rows, not those of the graph's index among
+    the distinct graphs."""
+
+    def test_net9_taken_twice(self, tmp_path):
+        sc = parse_scenario({
+            "topology": "net9_intervals_3_3", "algorithm": "mw-msr", "f": 1, "l": 2,
+            "reference": [[0, 1.0], [10, 2.0]],
+            "init": {1: 4.6, 2: 2.3, 3: 3.8, 4: 2.9, 6: 4.1},
+            "adversaries": [{"node": 5, "relay": "same", "emit": {
+                "default": {"center": 2.6, "amplitude": 0.3, "period": 2, "waveform": "square"},
+                "groups": [{"receivers": [1, 3, 6], "center": 4.2}]}}],
+            "window": 31, "max_rounds": 30,
+        }, "net9_twice")
+        graphs = sc.schedule.graphs
+        assert graphs[:3] == graphs[3:] and len(set(graphs)) == 3
+        assert assert_matches_reference(sc, tmp_path).rounds == 31
+
+    def test_random_a_b_a_schedules(self, tmp_path):
+        rng = random.Random(4093)
+        runs = 0
+        while runs < 6:
+            sc = random_scenario(rng)
+            if sc.schedule.period < 2:
+                continue
+            a, b = sc.schedule.graphs[:2]
+            assert a != b
+            # Each step graph of (a, b, a) is one of the original schedule's,
+            # so the adversary set stays f-local.
+            intervals = rng.choice([(3,), (1, 2), (2, 1)])
+            sc = dataclasses.replace(sc, schedule=TopologySchedule((a, b, a), intervals))
+            assert_matches_reference(sc, tmp_path)
+            runs += 1
 
 
 class TestStoppingRule:

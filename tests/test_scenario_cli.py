@@ -731,6 +731,20 @@ class TestMalformedInput:
         res = CliRunner().invoke(main, ["validate", "--scenario", str(p)])
         assert res.exit_code == 1 and "'max_round'" in res.output
 
+    @pytest.mark.parametrize("axes", [0, 3])
+    def test_bad_axes_is_reported_before_init(self, tmp_path, axes):
+        # init and delta are shaped per axis, so a bad count is refused
+        # first, not as the first init entry of the wrong shape.
+        data = yaml.safe_load(corpus_path("fig7b_2hop_second_order").read_text())
+        data["axes"] = axes
+        p = tmp_path / "scn.yaml"
+        p.write_text(yaml.safe_dump(data))
+        with pytest.raises(ScenarioError, match=rf"^axes must be 1 or 2, got {axes}$"):
+            load_scenario(p)
+        res = CliRunner().invoke(main, ["validate", "--scenario", str(p)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+        assert res.output == f"error: axes must be 1 or 2, got {axes}\n"
+
     @pytest.mark.parametrize("bad", [1.9, True], ids=["float", "bool"])
     @pytest.mark.parametrize("where", INTEGER_FIELDS)
     def test_integer_field_is_not_truncated(self, workspace, where, bad):
