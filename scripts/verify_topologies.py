@@ -61,6 +61,20 @@ def main():
     v, s = timed(is_jointly_robust_following, RobustnessQuery(sched15, l15, r=3, l=3, f=2))
     ok &= check("net15 r=3 l=3 f=2", v.holds, True, s)
 
+    # Strict relays (relays outside S too) count only one-hop paths, so the
+    # relay gain above rests on the default reading.
+    for name, sched, leaders, (r, l, f), want in [
+        ("net9", sched9, l9, (2, 2, 1), ({5}, {1, 2, 3, 6}, 0)),
+        ("net15", sched15, l15, (3, 3, 2), ({7, 8}, {1, 2, 3, 4, 5, 6, 9, 10}, 0)),
+    ]:
+        q = RobustnessQuery(sched, leaders, r, l, f, relays_inside_s=False)
+        v, s = timed(is_jointly_robust_following, q)
+        ok &= check(f"{name} r={r} l={l} f={f} strict relays", v.holds, False, s)
+        if v.certificate is not None:
+            cert = v.certificate
+            ok &= check("  certificate (F, S, interval)",
+                        (set(cert.F), set(cert.S), cert.interval_index), want)
+
     # Period 6: the net9 or net15 graphs twice, so the partition into
     # intervals alone decides the verdict.
     for name, (r, l, f), want in [

@@ -55,7 +55,8 @@ def main():
 @click.option("--r", "r_param", type=int, required=True, help="Required path redundancy.")
 @click.option("--l", "l_param", type=int, required=True, help="Hop count.")
 @click.option("--f", "f_param", type=int, required=True, help="Locality parameter.")
-@click.option("--strict-relays", is_flag=True, help="Require relay nodes outside S.")
+@click.option("--strict-relays", is_flag=True,
+              help="Require relay nodes outside S; --l then only sets the f-local family.")
 def cli_check_robustness(topology, r_param, l_param, f_param, strict_relays):
     """Exactly verify the jointly r-robust following property."""
     schedule, leaders = load_topology(resolve_file(topology))

@@ -11,6 +11,15 @@ search over f-local sets) unless a holding query is decided at F = ∅ by
 peeling with target r + f; the follower subsets S are not: for each F and
 interval a peeling pass finds the largest violating S in time polynomial in
 the number of followers. Independent paths are counted by branch and bound.
+
+A path into i serves S when its source lies outside S: its relays may lie
+inside S (the paper's footnote reading, the default). The strict reading
+also keeps its relays outside S, and then the hop bound drops out of the
+count. Each strict path's last hop w lies outside S ∪ F, so w → i is itself
+a valid one-hop path, and disjoint paths have distinct last hops. So at any
+l the largest number of disjoint strict paths into i is |N_i^- ∖ (S ∪ F)|,
+the default count at l = 1, and a strict query is counted with one hop: l
+reaches it only through the f-local family of F sets.
 """
 
 from __future__ import annotations
@@ -36,9 +45,8 @@ class RobustnessQuery:
     r: int
     l: int
     f: int
-    # Definition of independent paths: whether relay nodes may lie inside S.
-    # The default follows the footnote reading (only the endpoint is shared);
-    # the strict reading forces relays outside S as well.
+    # Whether relays may lie inside S: the footnote reading (the default), or
+    # the strict one, which keeps them outside S too (see the module docstring).
     relays_inside_s: bool = True
 
     def __post_init__(self):
@@ -103,16 +111,15 @@ def _max_disjoint_paths(path_masks: list[int], target: int) -> int:
     return best
 
 
-def _path_masks(paths, relays_inside_s: bool) -> list[tuple[int, int]]:
-    """(blocking mask, body mask) of each path into a node. The body holds
+def _path_masks(paths) -> list[tuple[int, int]]:
+    """(source bit, body mask) of each path into a node. The body holds
     every node but the endpoint; the path may serve S exactly when its
-    blocking nodes (the source, or the whole body under strict relays)
-    avoid S."""
-    return [(1 << p.nodes[0] if relays_inside_s else p.mask, p.mask) for p in paths]
+    source lies outside S."""
+    return [(1 << p.nodes[0], p.mask) for p in paths]
 
 
-def _walk_path_masks(g: DiGraph, dst: int, l: int, relays_inside_s: bool) -> set[tuple[int, int]]:
-    """The distinct pairs of ``_path_masks(all_paths_into(g, dst, l), ...)``,
+def _walk_path_masks(g: DiGraph, dst: int, l: int) -> set[tuple[int, int]]:
+    """The distinct pairs of ``_path_masks(all_paths_into(g, dst, l))``,
     by the same walk back from dst but with no ``Path`` built: the body
     never holds dst, and a path runs 1 to l hops."""
     inn = g._in_map
@@ -125,7 +132,7 @@ def _walk_path_masks(g: DiGraph, dst: int, l: int, relays_inside_s: bool) -> set
             bit = 1 << prev
             if not seen & bit:
                 grown = body | bit
-                out.add((bit if relays_inside_s else grown, grown))
+                out.add((bit, grown))
                 if hops < l:
                     back(prev, grown, hops + 1)
 
@@ -135,9 +142,9 @@ def _walk_path_masks(g: DiGraph, dst: int, l: int, relays_inside_s: bool) -> set
 
 
 def _reachable(paths: Iterable[tuple[int, int]], S: int, Fmask: int, r: int) -> bool:
-    """Do r of ``paths`` ((block, body) pairs of one node at one step) serve S
+    """Do r of ``paths`` ((source, body) pairs of one node at one step) serve S
     (as a bitmask), avoid ``Fmask`` and share no node but their endpoint?"""
-    masks = [body for block, body in paths if not (block & S or body & Fmask)]
+    masks = [body for src, body in paths if not (src & S or body & Fmask)]
     return len(masks) >= r and _max_disjoint_paths(masks, target=r) >= r
 
 
@@ -154,8 +161,10 @@ def jointly_reachable(
     """Is node i a jointly r-reachable follower with l hops in the interval?
 
     That is: at some time of the interval, r paths of length <= l end at i,
-    originate outside S and share no node but i. ``forbidden`` nodes (the
-    removal set F) are on no path, and a forbidden i is never reachable.
+    originate outside S and share no node but i; under the strict reading
+    relays lie outside S too, which one-hop paths count exactly (see the
+    module docstring). ``forbidden`` nodes (the removal set F) are on no
+    path, and a forbidden i is never reachable.
     Returns (holds, witness time K_i). The count is evaluated on single
     time-step graphs; the interval only supplies the candidate times.
     """
@@ -166,7 +175,7 @@ def jointly_reachable(
         return False, None
     Smask, Fmask = nodes_bit(S), nodes_bit(forbidden)
     for k in interval:
-        paths = _path_masks(all_paths_into(schedule.graph_at(k), i, l), relays_inside_s)
+        paths = _path_masks(all_paths_into(schedule.graph_at(k), i, l if relays_inside_s else 1))
         if _reachable(paths, Smask, Fmask, r):
             return True, k
     return False, None
@@ -237,19 +246,17 @@ def _interval_violation(
     followers: list[int],
     r: int,
     l: int,
-    relays_inside_s: bool,
 ) -> frozenset[int] | None:
     """Largest follower subset S with no jointly r-reachable node in the
     interval; None if every nonempty S has one.
 
     Whether a node of S is jointly r-reachable is monotone: it stays true
-    when S shrinks, which frees sources (and, with strict relays, relays).
-    So peel: starting from every follower, remove nodes that are reachable
-    against the set that remains. The first member of any S to be removed
-    was reachable against a superset of S, hence against S; so if the set
-    empties, every S passes. Otherwise no remaining node is reachable against
-    it: it is a violating S and contains every other, whatever the removal
-    order.
+    when S shrinks, which frees sources. So peel: starting from every
+    follower, remove nodes that are reachable against the set that remains.
+    The first member of any S to be removed was reachable against a superset
+    of S, hence against S; so if the set empties, every S passes. Otherwise
+    no remaining node is reachable against it: it is a violating S and
+    contains every other, whatever the removal order.
 
     ``steps`` holds, per scheduled step and for every F of one query, the
     graph, each node's in-neighbor mask and the ``_walk_path_masks`` pairs of
@@ -267,7 +274,7 @@ def _interval_violation(
             return False
         for g, _, paths in cached:
             if i not in paths:
-                paths[i] = _walk_path_masks(g, i, l, relays_inside_s)
+                paths[i] = _walk_path_masks(g, i, l)
             if _reachable(paths[i], S, Fmask, r):
                 return True
         return False
@@ -306,21 +313,22 @@ def is_jointly_robust_following(q: RobustnessQuery) -> RobustnessVerdict:
     Once F = ∅ passes, with f >= 1, a peel of it with target r + f that
     empties every interval decides "holds": an f-local F meets at most f of
     i's r + f disjoint paths, which lie within l hops of i, so r survive.
+    Both peels count a strict query with one hop (see the module docstring).
     """
     schedule = q.schedule
     intervals = schedule.intervals()
+    hops = q.l if q.relays_inside_s else 1
     steps = [(g, {i: nodes_bit(g.in_neighbors(i)) for i in g.nodes}, {}) for g in schedule.graphs]
     for F in f_local_sets(schedule, q.l, q.f):
         followers = sorted(set(range(1, schedule.n + 1)) - q.leaders - F)
         if not followers:
             continue
         for t, interval in enumerate(intervals):
-            S = _interval_violation(steps, interval, F, followers, q.r, q.l, q.relays_inside_s)
+            S = _interval_violation(steps, interval, F, followers, q.r, hops)
             if S is not None:
                 return RobustnessVerdict(False, Certificate(F, S, t))
         if not F and q.f and all(
-            _interval_violation(steps, iv, F, followers, q.r + q.f, q.l,
-                                q.relays_inside_s) is None
+            _interval_violation(steps, iv, F, followers, q.r + q.f, hops) is None
             for iv in intervals
         ):
             return RobustnessVerdict(True)

@@ -597,7 +597,8 @@ def verify_topologies_queries():
         (*topo["net15"], (3, 1, 2)), (*topo["net15"], (3, 3, 2)),
         (*topo["net9_intervals_3_3"], (2, 2, 1)), (*topo["net9_intervals_2_2_2"], (2, 2, 1)),
         (*topo["net15_intervals_2_2_2"], (3, 3, 2)), (reduced, virtual, (2, 1, 1)),
-    )]
+    )] + [RobustnessQuery(*topo["net9"], 2, 2, 1, relays_inside_s=False),
+          RobustnessQuery(*topo["net15"], 3, 3, 2, relays_inside_s=False)]
 
 
 class TestCollector:

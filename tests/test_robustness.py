@@ -193,7 +193,7 @@ class TestIndependentPaths:
         assert jointly_reachable(s, range(1), {4}, 4, 3, 1, forbidden={1}) == (False, None)
         assert jointly_reachable(s, range(1), {4}, 4, 2, 1, forbidden={1}) == (True, 0)
 
-    @given(st.integers(3, 6), st.integers(1, 2), st.randoms())
+    @given(st.integers(3, 6), st.integers(1, 4), st.randoms())
     def test_matches_brute_force(self, n, l, rng):
         edges = [
             (j, i)
@@ -210,12 +210,11 @@ class TestIndependentPaths:
             want = brute_independent_paths(g, S, 1, l, forbidden=F, relays_inside_s=mode)
             assert got == want
 
-    @pytest.mark.parametrize("relays_inside_s", [True, False])
-    def test_walk_matches_path_enumeration(self, relays_inside_s):
-        """The peel's walk gives exactly the distinct (block, body) pairs of
+    def test_walk_matches_path_enumeration(self):
+        """The peel's walk gives exactly the distinct (source, body) pairs of
         the ``Path`` enumeration, for every node, one of them with no
         in-edge, and every hop bound up to n."""
-        rng = random.Random(3 + relays_inside_s)
+        rng = random.Random(4)
         for _ in range(200):
             n = rng.randint(1, 9)
             g = random_digraph(rng, n, rng.uniform(0.1, 0.5))
@@ -223,9 +222,80 @@ class TestIndependentPaths:
             g = DiGraph(n, frozenset((j, i) for j, i in g.edges if i != cut))
             for i in g.nodes:
                 for l in range(1, n + 1):
-                    want = set(_path_masks(all_paths_into(g, i, l), relays_inside_s))
-                    assert _walk_path_masks(g, i, l, relays_inside_s) == want
+                    want = set(_path_masks(all_paths_into(g, i, l)))
+                    assert _walk_path_masks(g, i, l) == want
                     assert bool(want) == bool(g.in_neighbors(i))
+
+
+class TestStrictRelays:
+    """Under strict relays each path's last hop is a one-hop path of its own,
+    so a strict query is counted with one hop and never walks longer paths
+    (see the ``rclab.robustness`` docstring)."""
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(robustness, "_walk_path_masks", walked)
+
+    def test_net9_fails_without_a_walk(self, net9, no_walk):
+        schedule, leaders = net9
+        # the default reading holds here, through relays inside S, so it walks
+        with pytest.raises(AssertionError, match="walked"):
+            is_jointly_robust_following(RobustnessQuery(schedule, leaders, 2, 2, 1))
+        v = is_jointly_robust_following(
+            RobustnessQuery(schedule, leaders, 2, 2, 1, relays_inside_s=False)
+        )
+        assert v.certificate == Certificate(frozenset({5}), frozenset({1, 2, 3, 6}), 0)
+
+    def test_matches_exhaustive_oracle_without_a_walk(self, no_walk):
+        rng = random.Random(41)
+        outcomes = set()
+        for _ in range(80):
+            n = rng.randint(4, 7)
+            leaders = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n - 2)))
+            q = RobustnessQuery(
+                random_schedule(rng, n), leaders, r=rng.randint(1, 3),
+                l=rng.randint(2, 4), f=rng.randint(0, 1), relays_inside_s=False,
+            )
+            v = is_jointly_robust_following(q)
+            want = oracle_verdict(q)
+            assert v.holds == (want is None)
+            outcomes.add(v.holds)
+            if want is not None:
+                F, t, bad = want
+                assert v.certificate == Certificate(F, frozenset().union(*bad), t)
+        assert outcomes == {True, False}
+
+    def test_jointly_reachable_enumerates_one_hop(self, monkeypatch):
+        """At l = 2-4 the strict count is the largest set of disjoint l-hop
+        paths whose bodies avoid S and F, which is i's in-degree outside
+        S ∪ F; ``jointly_reachable`` finds it from one-hop paths alone."""
+        bounds = []
+        real = robustness.all_paths_into
+
+        def recording(g, i, l):
+            bounds.append(l)
+            return real(g, i, l)
+
+        monkeypatch.setattr(robustness, "all_paths_into", recording)
+        rng = random.Random(43)
+        relayed = 0
+        for _ in range(300):
+            n = rng.randint(3, 8)
+            g = random_digraph(rng, n, rng.uniform(0.2, 0.6))
+            S = frozenset({1} | {m for m in range(2, n + 1) if rng.random() < 0.4})
+            F = frozenset(m for m in range(2, n + 1) if rng.random() < 0.15)
+            l = rng.randint(2, 4)
+            blocked = nodes_bit(S | F)
+            strict = [p.mask for p in all_paths_into(g, 1, l) if not p.mask & blocked]
+            want = _max_disjoint_paths(strict, target=n)
+            assert want == len(g.in_neighbors(1) - S - F)
+            assert reachable_r(g, S, 1, l, F, relays_inside_s=False) == want
+            relayed += any(m.bit_count() > 1 for m in strict)
+        assert set(bounds) == {1}
+        assert relayed >= 100
 
 
 class TestFLocalSets:
@@ -360,7 +430,8 @@ class TestJointlyRobustFollowing:
                      for g in q.schedule.graphs]
             empties = all(
                 _interval_violation(
-                    steps, iv, frozenset(), followers, q.r + q.f, q.l, relays_inside_s,
+                    steps, iv, frozenset(), followers, q.r + q.f,
+                    q.l if relays_inside_s else 1,
                 ) is None
                 for iv in q.schedule.intervals()
             )

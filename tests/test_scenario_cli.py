@@ -397,6 +397,14 @@ class TestCli:
         assert res.exit_code == 2
         assert "certificate: F=[5] S=[1, 2, 3, 6]" in res.output
 
+    def test_check_robustness_strict_relays(self):
+        # net9 holds at r=2 with two hops only through relays inside S
+        args = ["check-robustness", "--topology", "net9", "--r", "2", "--l", "2", "--f", "1"]
+        assert self.invoke(*args).exit_code == 0
+        res = self.invoke(*args, "--strict-relays")
+        assert res.exit_code == 2
+        assert "certificate: F=[5] S=[1, 2, 3, 6] interval=0" in res.output
+
     def test_check_robustness_bad_input(self, tmp_path):
         bad = tmp_path / "broken.yaml"
         bad.write_text("n: 3\n")
